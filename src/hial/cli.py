@@ -56,8 +56,6 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
                    help="restrict candidates to the train split")
     p.add_argument("--seed", type=int, default=0,
                    help="RNG seed for auto-quantile sampling")
-    p.add_argument("--threads", type=int, default=os.cpu_count(),
-                   help="worker hint; results are thread-count independent")
 
 
 def _parse_auto(value: str, name: str) -> float | str:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,9 +70,12 @@ def load_hypergraph(path: str | Path) -> list[list[str]]:
 
 def _parse_float(cell: str, path, lineno: int) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise DataError(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"{path}:{lineno}: non-finite cell {cell!r}")
+    return value
 
 
 def load_features(path: str | Path,

@@ -1,21 +1,26 @@
-"""Kernel backend selection.
+"""Coverage-counting kernels of the greedy loop.
 
-Prefers the compiled extension; falls back to the numpy implementation
-when the extension is unavailable or ``HIAL_PURE_PYTHON=1`` is set.
+Every marginal-gain query counts how many not-yet-covered nodes a
+candidate's feature balls would add; every seed addition marks them.
+``covered`` is a uint8 mask over the nodes and ``indices`` an integer id
+array that may repeat ids.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-if os.environ.get("HIAL_PURE_PYTHON"):
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _ckernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
+BACKEND = "python"  # recorded with every job by selbench/job.py
 
-BACKEND: str = _impl.BACKEND
-count_uncovered_unique = _impl.count_uncovered_unique
-mark_covered = _impl.mark_covered
+
+def count_uncovered_unique(covered: np.ndarray, indices: np.ndarray) -> int:
+    """Number of distinct ids in ``indices`` not yet marked in ``covered``."""
+    fresh = indices[covered[indices] == 0]
+    return int(np.unique(fresh).size)
+
+
+def mark_covered(covered: np.ndarray, indices: np.ndarray) -> int:
+    """Mark ids in ``covered``; return how many were newly covered."""
+    fresh = indices[covered[indices] == 0]
+    covered[fresh] = 1
+    return int(np.unique(fresh).size)

@@ -2,7 +2,8 @@
 
 The coverage side activates every node whose normalized influence from the
 seed set strictly exceeds a threshold, then counts the union of
-feature-space balls around the activated nodes. The diffusion side scores
+feature-space balls around the activated nodes; all balls are computed
+once into the sparse index of :class:`FeatureBalls`. The diffusion side scores
 the expected number of one-hop neighbors activated through shared
 hyperedges. Both are monotone and submodular, so the greedy selector keeps
 an incrementally updated :class:`CoverageState` and answers marginal-gain
@@ -11,8 +12,8 @@ queries without mutation.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -90,64 +91,76 @@ def build_activation_sets(ic: InfluenceColumns, theta: float) -> ActivationSets:
 class FeatureBalls:
     """Radius-``r`` Euclidean neighborhoods in propagated feature space.
 
-    Memberships are computed lazily (and cached) through a KD-tree for
-    low-dimensional features, or blocked brute-force distances otherwise.
+    Every ball is computed once, at construction, into one sparse index:
+    the ball of node ``u`` is ``indices[start[u]:stop[u]]``, the sorted
+    int32 ids within ``radius`` of ``u`` (always including ``u``). A
+    finite radius stores the rows back to back, CSR style, and builds them
+    in row blocks of about ``BLOCK_BYTES`` of distance work: KD-tree
+    queries for at most ``BRUTE_DIM`` dimensions, direct pairwise
+    differences above. An infinite radius stores the single row ``0..n-1``
+    that every node's ``start``/``stop`` point at, so it stays O(n).
     """
 
     BRUTE_DIM = 16
+    BLOCK_BYTES = 32 << 20
 
-    def __init__(self, points: np.ndarray, radius: float, cache: bool = True):
-        if radius < 0:
+    def __init__(self, points: np.ndarray, radius: float):
+        if not radius >= 0:
             raise ConfigError(f"ball radius must be >= 0, got {radius}")
         self.points = np.ascontiguousarray(points, dtype=np.float64)
         self.radius = float(radius)
-        self.num_nodes = self.points.shape[0]
-        self._cache: dict[int, np.ndarray] | None = {} if cache else None
-        self._tree = None
-        if math.isfinite(self.radius) and self.points.shape[1] <= self.BRUTE_DIM:
-            self._tree = cKDTree(self.points)
+        n = self.num_nodes = self.points.shape[0]
+        if math.isfinite(self.radius):
+            indptr, self.indices = self._build_index()
+            self.start, self.stop = indptr[:-1], indptr[1:]
+        else:
+            self.indices = np.arange(n, dtype=np.int32)
+            self.start = np.zeros(n, dtype=np.int64)
+            self.stop = np.full(n, n, dtype=np.int64)
+
+    def _build_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR row pointer and concatenated sorted rows of every ball."""
+        pts, r = self.points, self.radius
+        n, d = pts.shape
+        block = max(1, self.BLOCK_BYTES // max(1, 8 * n * d))
+        tree = cKDTree(pts) if d <= self.BRUTE_DIM else None
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        rows = [np.zeros(0, dtype=np.int32)]
+        for lo in range(0, n, block):
+            blk = pts[lo:lo + block]
+            sizes = indptr[lo + 1:lo + 1 + blk.shape[0]]
+            if tree is not None:
+                hits = tree.query_ball_point(blk, r, return_sorted=True)
+                sizes[:] = [len(h) for h in hits]
+                rows.append(np.fromiter(itertools.chain.from_iterable(hits),
+                                        np.int32, int(sizes.sum())))
+            else:
+                diff = blk[:, None, :] - pts[None, :, :]
+                ok = np.einsum("ijk,ijk->ij", diff, diff) <= r * r
+                sizes[:] = np.count_nonzero(ok, axis=1)
+                rows.append(np.nonzero(ok)[1].astype(np.int32))
+        np.cumsum(indptr, out=indptr)
+        return indptr, np.concatenate(rows)
 
     def members(self, u: int) -> np.ndarray:
         """Sorted node ids within ``radius`` of node ``u`` (always incl. u)."""
         if not 0 <= u < self.num_nodes:
             raise DataError(f"node id {u} out of range")
-        if self._cache is not None and u in self._cache:
-            return self._cache[u]
-        got = self._query_batch(np.asarray([u]))[0]
-        if self._cache is not None:
-            self._cache[u] = got
-        return got
+        return self.indices[self.start[u]:self.stop[u]]
 
-    def _query_batch(self, ids: np.ndarray) -> list[np.ndarray]:
+    def union_size(self, rows: np.ndarray) -> int:
+        """Number of distinct nodes in the balls of the nodes marked in the
+        boolean mask ``rows``."""
         if not math.isfinite(self.radius):
-            full = np.arange(self.num_nodes, dtype=np.int64)
-            return [full] * ids.size
-        if self._tree is not None:
-            hits = self._tree.query_ball_point(self.points[ids], self.radius)
-            return [np.sort(np.asarray(h, dtype=np.int64)) for h in hits]
-        diff = self.points[ids, None, :] - self.points[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        ok = d2 <= self.radius * self.radius + 0.0
-        return [np.flatnonzero(ok[i]).astype(np.int64) for i in range(ids.size)]
-
-    def mark_union(self, node_ids: np.ndarray, covered: np.ndarray,
-                   batch_size: int = 8192) -> int:
-        """Mark the union of the balls of ``node_ids`` in ``covered``;
-        return the number of newly covered nodes. Queries stream in
-        batches and are not cached."""
-        total = 0
-        for i in range(0, node_ids.size, batch_size):
-            for hit in self._query_batch(node_ids[i:i + batch_size]):
-                total += kernels.mark_covered(covered, hit)
-            if covered.sum() == covered.size:
-                break
-        return int(total)
+            return self.num_nodes if rows.any() else 0
+        covered = np.zeros(self.num_nodes, dtype=bool)
+        covered[self.indices[np.repeat(rows, self.stop - self.start)]] = True
+        return int(np.count_nonzero(covered))
 
 
-def build_feature_balls(ps: PropagationState, radius: float,
-                        cache: bool = True) -> FeatureBalls:
-    """Balls over the k-step propagated features."""
-    return FeatureBalls(ps.propagated_features, radius, cache=cache)
+def build_feature_balls(ps: PropagationState, radius: float) -> FeatureBalls:
+    """Ball index over the k-step propagated features."""
+    return FeatureBalls(ps.propagated_features, radius)
 
 
 def _check_beta(beta: float) -> None:
@@ -175,7 +188,6 @@ class CoverageState:
         self.in_seed = np.zeros(n, dtype=bool)
         self.activated = np.zeros(n, dtype=bool)
         self.covered = np.zeros(n, dtype=np.uint8)
-        self._scratch = np.zeros(n, dtype=np.uint8)
         self.evasion = np.ones(n, dtype=np.float64)
         self.is_neighbor = np.zeros(n, dtype=bool)
         self.moi_value = 0
@@ -183,18 +195,19 @@ class CoverageState:
 
     # -- pure reads -------------------------------------------------------
 
-    def _new_activations(self, v: int) -> np.ndarray:
+    def _new_coverage(self, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes ``v`` would newly activate, and their balls concatenated."""
         a_v = self.acts.members(v)
-        return a_v[~self.activated[a_v]]
+        new_act = a_v[~self.activated[a_v]]
+        if new_act.size == 0:
+            return new_act, np.zeros(0, dtype=np.int32)
+        return new_act, np.concatenate([self.balls.members(j) for j in new_act])
 
     def moi_gain(self, v: int) -> int:
         """Coverage nodes added by seeding ``v``, without mutating."""
         self._check_candidate(v)
-        new_act = self._new_activations(v)
-        if new_act.size == 0:
-            return 0
-        idx = np.concatenate([self.balls.members(j) for j in new_act])
-        return int(kernels.count_uncovered_unique(self.covered, idx, self._scratch))
+        return kernels.count_uncovered_unique(self.covered,
+                                              self._new_coverage(v)[1])
 
     def edv_gain(self, v: int) -> float:
         """Expected-diffusion gain of seeding ``v``, without mutating."""
@@ -216,10 +229,8 @@ class CoverageState:
         """Seed ``v``: extend activation/coverage and update evasion
         products for v's non-seed neighbors."""
         self._check_candidate(v)
-        new_act = self._new_activations(v)
-        for j in new_act:
-            self.moi_value += kernels.mark_covered(self.covered,
-                                                   self.balls.members(j))
+        new_act, ball_ids = self._new_coverage(v)
+        self.moi_value += kernels.mark_covered(self.covered, ball_ids)
         self.activated[new_act] = True
 
         self.edv_value += self.edv_gain(v)

@@ -72,7 +72,7 @@ class SelectionConfig:
         for name, val in (("theta", self.theta), ("radius", self.radius)):
             if isinstance(val, str) and val != AUTO:
                 raise ConfigError(f"{name} must be a number or 'auto', got {val!r}")
-            if not isinstance(val, str) and val < 0:
+            if not isinstance(val, str) and not val >= 0:  # rejects nan
                 raise ConfigError(f"{name} must be >= 0, got {val}")
         for name, q in (("theta_quantile", self.theta_quantile),
                         ("radius_quantile", self.radius_quantile)):
@@ -150,16 +150,18 @@ def _resolve_radius(cfg: SelectionConfig, feats: np.ndarray) -> float:
 
 
 def normalizers(g: Hypergraph, sigma_all: np.ndarray,
-                balls: objective.FeatureBalls,
-                beta: float) -> tuple[int, float]:
-    """Whole-graph objective values used as normalization constants."""
-    covered = np.zeros(g.num_nodes, dtype=np.uint8)
-    moi_hat = balls.mark_union(np.flatnonzero(sigma_all), covered)
+                balls: objective.FeatureBalls) -> tuple[int, float]:
+    """Whole-graph objective values used as normalization constants.
+
+    MoI(V) is the union of the balls over every node some candidate can
+    activate. EDV(V) is ``n``: with every node seeded no neighbor is left
+    to reach, so each node counts once.
+    """
+    moi_hat = balls.union_size(sigma_all)
     if moi_hat == 0:
         raise ConfigError("whole-graph coverage is empty: theta excludes "
                           "every node; lower theta or its quantile")
-    edv_hat = objective.edv(g, np.arange(g.num_nodes), beta)
-    return moi_hat, edv_hat
+    return moi_hat, float(g.num_nodes)
 
 
 def prepare(g: Hypergraph, features: np.ndarray,
@@ -181,7 +183,7 @@ def prepare(g: Hypergraph, features: np.ndarray,
         sigma_all[acts.indices] = True
     else:
         sigma_all = propagation.activated_mask_all(t, cfg.k, cfg.alpha, theta)
-    moi_hat, edv_hat = normalizers(g, sigma_all, balls, cfg.beta)
+    moi_hat, edv_hat = normalizers(g, sigma_all, balls)
     params = {
         "budget": cfg.budget, "k": cfg.k, "alpha": cfg.alpha,
         "theta": theta, "radius": radius, "beta": cfg.beta,

@@ -156,6 +156,34 @@ def test_exit_code_malformed_features(tmp_path, capsys):
     assert code == cli.EXIT_DATA
 
 
+def test_exit_code_non_finite_feature(tmp_path, capsys):
+    # the toy features with one cell replaced by nan
+    rows = (SAMPLE / "toy.features.csv").read_text().splitlines()
+    cells = rows[-1].split(",")
+    rows[-1] = ",".join([*cells[:-1], "nan"])
+    f = tmp_path / "nan.csv"
+    f.write_text("\n".join(rows) + "\n")
+    code, _, err = run(["select",
+                        "--hyperedges", str(SAMPLE / "toy.hyperedges"),
+                        "--features", str(f), "--budget", "1"], capsys)
+    assert code == cli.EXIT_DATA
+    assert "non-finite" in err
+
+
+def test_exit_code_nan_theta_or_radius(capsys):
+    for flag in ("--theta", "--radius"):
+        code, _, err = run(toy_args(["--budget", "1", flag, "nan"]), capsys)
+        assert code == cli.EXIT_CONFIG
+        assert flag[2:] in err
+
+
+def test_infinite_radius_accepted(capsys):
+    code, stdout, _ = run(toy_args(["--budget", "2", "--radius", "inf"]),
+                          capsys)
+    assert code == 0
+    assert "radius=inf" in stdout
+
+
 def test_label_propagation_full_seeding_fits_training():
     ds = dataio.load_dataset(SAMPLE / "toy.hyperedges",
                              SAMPLE / "toy.features.csv",

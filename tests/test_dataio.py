@@ -61,6 +61,16 @@ def test_load_features_non_numeric_rejected(tmp_path):
         dataio.load_features(p)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_load_features_non_finite_rejected(tmp_path, cell):
+    p = write(tmp_path, "f.csv", f"0,1.0\n1,{cell}\n")
+    with pytest.raises(DataError, match="non-finite"):
+        dataio.load_features(p)
+    p = write(tmp_path, "s.csv", f"0,0:1.0\n1,2:{cell}\n")
+    with pytest.raises(DataError, match="non-finite"):
+        dataio.load_features(p, sparse=True)
+
+
 def test_load_features_sparse(tmp_path):
     p = write(tmp_path, "f.csv", "0,0:1.5,3:2.0\n1,1:1.0\n")
     feats = dataio.load_features(p, sparse=True)

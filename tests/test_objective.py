@@ -14,6 +14,7 @@ from hial import (
     propagate,
     unified_objective,
 )
+from hial import objective
 from hial.objective import CoverageState, FeatureBalls
 import oracles
 
@@ -86,12 +87,14 @@ def test_radius_infinite_covers_all():
     balls = build_feature_balls(ps, np.inf)
     for u in range(n):
         assert list(balls.members(u)) == list(range(n))
+    assert balls.indices.size == n  # one shared row, not n copies
 
 
 def test_negative_radius_rejected():
     _, g, _, n, ps, _, _ = make_instance(3)
-    with pytest.raises(ConfigError):
-        build_feature_balls(ps, -0.5)
+    for bad in (-0.5, np.nan):
+        with pytest.raises(ConfigError):
+            build_feature_balls(ps, bad)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -109,15 +112,20 @@ def test_balls_match_double_loop(seed):
             assert u in expect[v]
 
 
-def test_balls_bruteforce_path_matches_kdtree():
+def test_balls_bruteforce_path_matches_kdtree(monkeypatch):
     rng = np.random.default_rng(11)
-    pts = rng.normal(size=(30, 5))
-    r = 1.4
+    n, d, r = 30, 5, 1.4
+    pts = rng.normal(size=(n, d))
+    # 4 rows per block, so both paths build the index in several blocks
+    monkeypatch.setattr(FeatureBalls, "BLOCK_BYTES", 4 * 8 * n * d)
     kd = FeatureBalls(pts, r)
+    monkeypatch.setattr(FeatureBalls, "BRUTE_DIM", 0)
+    monkeypatch.setattr(objective, "cKDTree", None)  # brute path needs no tree
     brute = FeatureBalls(pts, r)
-    brute._tree = None  # force the blocked-distance path
-    for u in range(30):
+    expect = oracles.feature_balls(pts, r)
+    for u in range(n):
         assert list(kd.members(u)) == list(brute.members(u))
+        assert set(brute.members(u)) == expect[u]
 
 
 # -- EDV ----------------------------------------------------------------

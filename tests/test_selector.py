@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from hial import ConfigError, SelectionConfig, build, prepare, select_lazy, select_naive
+from hial import (ConfigError, SelectionConfig, build, edv, prepare,
+                  select_lazy, select_naive)
 import oracles
 
 
@@ -43,12 +45,12 @@ def test_config_validation():
 
 def test_normalizers_edv_is_node_count():
     g, x, edges, n, ctx = make_context(0)
-    assert ctx.edv_hat == pytest.approx(float(n))
+    assert ctx.edv_hat == edv(g, range(n), ctx.config.beta) == float(n)
 
 
 def test_normalizer_moi_matches_scratch():
-    for seed in range(8):
-        g, x, edges, n, ctx = make_context(seed)
+    for seed, radius in itertools.product(range(8), (0.8, math.inf)):
+        g, x, edges, n, ctx = make_context(seed, radius=radius)
         m_k = oracles.dense_influence_matrix(
             ctx.transition.matrix.toarray(), ctx.config.k, ctx.config.alpha)
         oballs = oracles.feature_balls(ctx.prop_state.propagated_features,
