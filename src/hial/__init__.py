@@ -14,16 +14,13 @@ from .propagation import (
     build_hoi_transition,
     build_transition,
     influence_columns,
-    normalized_influence,
     propagate,
 )
 from .objective import (
     build_activation_sets,
     build_feature_balls,
     edv,
-    incremental_add,
     marginal_gain,
-    moi,
     unified_objective,
 )
 from .selector import (
@@ -39,9 +36,9 @@ __all__ = [
     "HialError", "DataError", "ConfigError",
     "Hypergraph", "build",
     "build_hoi_transition", "build_hgnn_transition", "build_transition",
-    "propagate", "influence_columns", "normalized_influence",
+    "propagate", "influence_columns",
     "build_activation_sets", "build_feature_balls",
-    "moi", "edv", "incremental_add", "marginal_gain", "unified_objective",
+    "edv", "marginal_gain", "unified_objective",
     "SelectionConfig", "SelectionResult",
     "prepare", "select_naive", "select_lazy",
 ]

@@ -127,7 +127,7 @@ def cmd_stats(args) -> int:
     ctx = selector.prepare(g, ds.features, cfg)
     print(f"resolved theta: {ctx.resolved_params['theta']:.17g}")
     print(f"resolved radius: {ctx.resolved_params['radius']:.17g}")
-    sizes = np.diff(ctx.acts.indptr)
+    sizes = np.diff(ctx.acts.indptr)[ctx.pool]
     print(_distribution_line("activation set size", sizes.astype(float)))
     print(f"moi normalizer: {ctx.moi_hat}")
     print(f"edv normalizer: {ctx.edv_hat:.17g}")

@@ -29,44 +29,30 @@ __all__ = [
     "CoverageState",
     "build_activation_sets",
     "build_feature_balls",
-    "moi",
     "edv",
-    "incremental_add",
     "marginal_gain",
     "unified_objective",
 ]
 
 
 class ActivationSets:
-    """Per-candidate activated node sets ``A_u = {j : influence > theta}``.
+    """Per-node activated node sets ``A_u = {j : influence > theta}``.
 
-    Stored as one ragged CSR-style array over the candidate order of the
-    influence columns.
+    Stored CSR style: row ``u`` is ``indices[indptr[u]:indptr[u + 1]]``,
+    the sorted ids ``u`` activates alone, for every node ``u``.
     """
 
-    def __init__(self, candidates: np.ndarray, indptr: np.ndarray,
-                 indices: np.ndarray, theta: float, num_nodes: int):
-        self.candidates = candidates
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, theta: float):
         self.indptr = indptr
         self.indices = indices
         self.theta = theta
-        self.num_nodes = num_nodes
-        self._col_of = {int(u): c for c, u in enumerate(candidates)}
+        self.num_nodes = indptr.size - 1
 
     def members(self, u: int) -> np.ndarray:
-        """Sorted node ids activated by candidate ``u`` alone."""
-        try:
-            c = self._col_of[int(u)]
-        except KeyError:
-            raise DataError(f"node {u} is not a stored candidate") from None
-        return self.indices[self.indptr[c]:self.indptr[c + 1]]
-
-    def union_mask(self, seeds) -> np.ndarray:
-        """Boolean mask of the activated set of ``seeds``."""
-        mask = np.zeros(self.num_nodes, dtype=bool)
-        for u in seeds:
-            mask[self.members(u)] = True
-        return mask
+        """Sorted node ids activated by node ``u`` alone."""
+        if not 0 <= u < self.num_nodes:
+            raise DataError(f"node id {u} out of range")
+        return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
 
 def build_activation_sets(ic: InfluenceColumns, theta: float) -> ActivationSets:
@@ -74,18 +60,15 @@ def build_activation_sets(ic: InfluenceColumns, theta: float) -> ActivationSets:
     if theta < 0:
         raise ConfigError(f"activation threshold must be >= 0, got {theta}")
     cols = ic.columns
-    ncand = ic.candidates.size
-    col_ids = np.repeat(np.arange(ncand), np.diff(cols.indptr))
+    n = cols.shape[1]
+    col_ids = np.repeat(np.arange(n), np.diff(cols.indptr))
     rows = cols.indices.astype(np.int64)
     # row sums are strictly positive wherever a column entry is nonzero
     norm = cols.data / ic.row_sums[rows]
     keep = norm > theta
-    kept_cols = col_ids[keep]
-    kept_rows = rows[keep]
-    counts = np.bincount(kept_cols, minlength=ncand)
+    counts = np.bincount(col_ids[keep], minlength=n)
     indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    return ActivationSets(ic.candidates, indptr, kept_rows, float(theta),
-                          ic.row_sums.size)
+    return ActivationSets(indptr, rows[keep], float(theta))
 
 
 class FeatureBalls:
@@ -183,13 +166,10 @@ class CoverageState:
         self.balls = balls
         self.beta = beta
         n = g.num_nodes
-        self.seed_set: set[int] = set()
-        self.seed_order: list[int] = []
         self.in_seed = np.zeros(n, dtype=bool)
         self.activated = np.zeros(n, dtype=bool)
         self.covered = np.zeros(n, dtype=np.uint8)
         self.evasion = np.ones(n, dtype=np.float64)
-        self.is_neighbor = np.zeros(n, dtype=bool)
         self.moi_value = 0
         self.edv_value = 0.0
 
@@ -243,23 +223,14 @@ class CoverageState:
             free = ~self.in_seed[nb]
             nb, ct = nb[free], ct[free]
             self.evasion[nb] *= 1.0 - self.beta * ct / d_v
-            self.is_neighbor[nb] = True
-        self.seed_set.add(int(v))
-        self.seed_order.append(int(v))
         self.in_seed[v] = True
-        self.is_neighbor[v] = False
         return self
 
     def _check_candidate(self, v: int) -> None:
         if not 0 <= v < self.graph.num_nodes:
             raise DataError(f"node id {v} out of range")
-        if v in self.seed_set:
+        if self.in_seed[v]:
             raise DataError(f"node {v} is already a seed")
-
-
-def moi(state: CoverageState) -> int:
-    """Current coverage value (size of the union of activated balls)."""
-    return state.moi_value
 
 
 def edv(g: Hypergraph, seeds, beta: float) -> float:
@@ -285,11 +256,6 @@ def edv(g: Hypergraph, seeds, beta: float) -> float:
         evasion[nb[free]] *= 1.0 - beta * ct[free] / d_u
         touched[nb[free]] = True
     return float(seed_arr.size + np.sum(1.0 - evasion[touched]))
-
-
-def incremental_add(state: CoverageState, v: int) -> CoverageState:
-    """Add ``v`` to the seed set, updating coverage and diffusion state."""
-    return state.add(v)
 
 
 def marginal_gain(state: CoverageState, v: int, gamma: float,

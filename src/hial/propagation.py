@@ -12,14 +12,14 @@ Propagation mixes the smoothed signal with the initial features:
 ``X <- alpha * T X + (1 - alpha) * X0``. Because the recurrence is linear
 and channel-wise, the influence of node u's initial feature on node j's
 k-step feature is a scalar ``M_k[j, u]`` obeying the same recurrence with
-the identity as input; only candidate columns and the row-sum vector are
-ever materialized.
+the identity as input. Its columns are built once, in sparse batches, and
+kept as one sparse n x n matrix next to the row-sum vector; no dense n x n
+matrix is ever formed.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,11 +37,7 @@ __all__ = [
     "propagate",
     "influence_columns",
     "row_sum_vector",
-    "normalized_influence",
-    "activated_mask_all",
 ]
-
-log = logging.getLogger(__name__)
 
 HOI = "hoi"
 HGNN = "hgnn"
@@ -71,29 +67,16 @@ class PropagationState:
 
 @dataclass(frozen=True)
 class InfluenceColumns:
-    """Influence-matrix columns for a candidate set.
+    """The influence matrix, stored by column.
 
-    ``columns[:, c]`` is ``M_k[:, candidates[c]]`` and ``row_sums[j]`` is
-    the full-row normalizer ``sum_l M_k[j, l]``.
+    ``columns[:, u]`` is ``M_k[:, u]`` for every node ``u`` and
+    ``row_sums[j]`` is the row normalizer ``sum_l M_k[j, l]``.
     """
 
-    candidates: np.ndarray          # int64, sorted candidate node ids
-    columns: sp.csc_matrix          # n x len(candidates), non-negative
+    columns: sp.csc_matrix          # n x n, non-negative
     row_sums: np.ndarray            # float64, length n
     k: int
     alpha: float
-    _col_of: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self._col_of.update({int(u): c for c, u in enumerate(self.candidates)})
-
-    def column(self, u: int) -> np.ndarray:
-        """Dense influence column of candidate ``u``."""
-        try:
-            c = self._col_of[int(u)]
-        except KeyError:
-            raise DataError(f"node {u} is not a stored candidate") from None
-        return np.asarray(self.columns[:, c].todense()).ravel()
 
 
 def _check_alpha_k(alpha: float, k: int) -> None:
@@ -200,59 +183,18 @@ def _column_block(t: TransitionMatrix, ids: np.ndarray, k: int,
     return v
 
 
-def influence_columns(t: TransitionMatrix, candidates, k: int, alpha: float,
+def influence_columns(t: TransitionMatrix, k: int, alpha: float,
                       batch_size: int = 4096) -> InfluenceColumns:
-    """Columns of the influence matrix for each candidate, plus row sums.
+    """Every column of the influence matrix, plus its row sums.
 
     Columns are computed in sparse batches (k sparse products per batch);
-    the full n x n matrix is never formed.
+    no dense n x n matrix is formed.
     """
     _check_alpha_k(alpha, k)
-    cand = np.asarray(sorted(set(int(u) for u in candidates)), dtype=np.int64)
-    if cand.size == 0:
-        raise DataError("candidate set is empty")
-    if cand[0] < 0 or cand[-1] >= t.num_nodes:
-        raise DataError("candidate node id out of range")
-    blocks = [_column_block(t, cand[i:i + batch_size], k, alpha)
-              for i in range(0, cand.size, batch_size)]
+    if t.num_nodes == 0:
+        raise DataError("hypergraph has no nodes")
+    ids = np.arange(t.num_nodes, dtype=np.int64)
+    blocks = [_column_block(t, ids[i:i + batch_size], k, alpha)
+              for i in range(0, ids.size, batch_size)]
     cols = blocks[0] if len(blocks) == 1 else sp.hstack(blocks, format="csc")
-    return InfluenceColumns(cand, cols, row_sum_vector(t, k, alpha), k, alpha)
-
-
-_warned_zero_row = False
-
-
-def normalized_influence(ic: InfluenceColumns, j: int, u: int) -> float:
-    """Influence of candidate ``u`` on node ``j`` divided by j's full-row
-    normalizer; 0 when the normalizer vanishes (isolated node, alpha=1)."""
-    col = ic.column(u)
-    if not 0 <= j < col.size:
-        raise DataError(f"node id {j} out of range")
-    s = ic.row_sums[j]
-    if s <= 0.0:
-        global _warned_zero_row
-        if not _warned_zero_row:
-            log.warning("zero influence normalizer for node %d; "
-                        "treating influence as 0", j)
-            _warned_zero_row = True
-        return 0.0
-    return float(col[j] / s)
-
-
-def activated_mask_all(t: TransitionMatrix, k: int, alpha: float, theta: float,
-                       batch_size: int = 4096) -> np.ndarray:
-    """Boolean mask of nodes activated when every node is a seed.
-
-    Node j is marked iff some column u has normalized influence on j
-    strictly above ``theta``. Runs in batches over all columns.
-    """
-    _check_alpha_k(alpha, k)
-    n = t.num_nodes
-    s = row_sum_vector(t, k, alpha)
-    mask = np.zeros(n, dtype=bool)
-    all_ids = np.arange(n, dtype=np.int64)
-    for i in range(0, n, batch_size):
-        block = _column_block(t, all_ids[i:i + batch_size], k, alpha).tocoo()
-        ok = block.data > theta * s[block.row]
-        mask[block.row[ok]] = True
-    return mask
+    return InfluenceColumns(cols, row_sum_vector(t, k, alpha), k, alpha)

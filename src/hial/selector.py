@@ -123,14 +123,16 @@ class SelectionContext:
                                        self.config.beta)
 
 
-def _resolve_theta(cfg: SelectionConfig,
-                   ic: propagation.InfluenceColumns) -> float:
+def _resolve_theta(cfg: SelectionConfig, ic: propagation.InfluenceColumns,
+                   pool: np.ndarray) -> float:
+    """``theta`` as given, or the quantile of the normalized influence
+    entries in the pool's columns."""
     if cfg.theta != AUTO:
         return float(cfg.theta)
-    data = ic.columns.data
-    if data.size == 0:
+    cols = ic.columns[:, pool]
+    if cols.nnz == 0:
         raise ConfigError("no nonzero influence entries; cannot auto-resolve theta")
-    norm = data / ic.row_sums[ic.columns.indices]
+    norm = cols.data / ic.row_sums[cols.indices]
     return float(np.quantile(norm, cfg.theta_quantile))
 
 
@@ -153,9 +155,9 @@ def normalizers(g: Hypergraph, sigma_all: np.ndarray,
                 balls: objective.FeatureBalls) -> tuple[int, float]:
     """Whole-graph objective values used as normalization constants.
 
-    MoI(V) is the union of the balls over every node some candidate can
-    activate. EDV(V) is ``n``: with every node seeded no neighbor is left
-    to reach, so each node counts once.
+    MoI(V) is the union of the balls over every node that some node
+    activates, whatever the candidate pool. EDV(V) is ``n``: with every
+    node seeded no neighbor is left to reach, so each node counts once.
     """
     moi_hat = balls.union_size(sigma_all)
     if moi_hat == 0:
@@ -172,17 +174,14 @@ def prepare(g: Hypergraph, features: np.ndarray,
     pool = cfg.resolve_pool(g.num_nodes)
     t = propagation.build_transition(g, cfg.backend)
     ps = propagation.propagate(t, features, cfg.k, cfg.alpha)
-    ic = propagation.influence_columns(t, pool, cfg.k, cfg.alpha)
-    theta = _resolve_theta(cfg, ic)
+    ic = propagation.influence_columns(t, cfg.k, cfg.alpha)
+    theta = _resolve_theta(cfg, ic, pool)
     radius = _resolve_radius(cfg, ps.propagated_features)
     resolved = replace(cfg, theta=theta, radius=radius)
     acts = objective.build_activation_sets(ic, theta)
     balls = objective.build_feature_balls(ps, radius)
-    if pool.size == g.num_nodes:
-        sigma_all = np.zeros(g.num_nodes, dtype=bool)
-        sigma_all[acts.indices] = True
-    else:
-        sigma_all = propagation.activated_mask_all(t, cfg.k, cfg.alpha, theta)
+    sigma_all = np.zeros(g.num_nodes, dtype=bool)
+    sigma_all[acts.indices] = True
     moi_hat, edv_hat = normalizers(g, sigma_all, balls)
     params = {
         "budget": cfg.budget, "k": cfg.k, "alpha": cfg.alpha,

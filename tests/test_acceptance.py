@@ -63,7 +63,7 @@ def build_structures(rng, n, m, d=8, theta_q=0.8, radius_q=0.3,
     x = rng.normal(size=(n, d))
     t = build_hoi_transition(g)
     ps = propagate(t, x, k, alpha)
-    ic = influence_columns(t, range(n), k, alpha)
+    ic = influence_columns(t, k, alpha)
     norm = ic.columns.data / ic.row_sums[ic.columns.indices]
     # place theta strictly between two data values so the strict-inequality
     # threshold cannot flip on last-bit float differences across backends
@@ -182,7 +182,7 @@ def test_criterion_3_oracle_equivalence():
         t = build_hoi_transition(g)
         k = int(rng.integers(1, 4))
         alpha = float(rng.uniform(0.2, 0.95))
-        ic = influence_columns(t, range(n), k, alpha)
+        ic = influence_columns(t, k, alpha)
         dense = oracles.dense_influence_matrix(t.matrix.toarray(), k, alpha)
         np.testing.assert_allclose(ic.columns.toarray(), dense, atol=1e-10)
         x = rng.normal(size=(n, 3))

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hial import cli, dataio
+from hial import SelectionConfig, cli, dataio, prepare
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample_data"
 
@@ -92,6 +92,39 @@ def test_stats_deterministic(capsys):
     _, out_a, _ = run(argv, capsys)
     _, out_b, _ = run(argv, capsys)
     assert out_a == out_b
+
+
+def test_stats_train_split_reports_pool(tmp_path, capsys):
+    """--train-split narrows the reported activation sets to the pool; the
+    MoI normalizer still covers every node."""
+    train = ["0", "2", "3", "7", "9"]
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"train": train, "test": ["1", "4"]}))
+    argv = ["stats", "--hyperedges", str(SAMPLE / "toy.hyperedges"),
+            "--features", str(SAMPLE / "toy.features.csv"),
+            "--budget", "3", "--theta", "0.15", "--radius", "0.01"]
+    code, full, _ = run(argv, capsys)
+    assert code == 0
+    code, sub, _ = run(argv + ["--splits", str(split), "--train-split"],
+                       capsys)
+    assert code == 0
+
+    def line(out, name):
+        return next(l for l in out.splitlines() if l.startswith(name))
+
+    ds = dataio.load_dataset(SAMPLE / "toy.hyperedges",
+                             SAMPLE / "toy.features.csv")
+    ctx = prepare(ds.hypergraph, ds.features,
+                  SelectionConfig(budget=3, theta=0.15, radius=0.01))
+    sizes = np.diff(ctx.acts.indptr)[[ds.id_map[v] for v in train]]
+    expect = cli._distribution_line("activation set size",
+                                    sizes.astype(float))
+    assert line(sub, "activation set size") == expect
+    assert line(sub, "activation set size") != line(full,
+                                                    "activation set size")
+    # the pool alone activates 9 of the 12 nodes
+    assert line(sub, "moi normalizer") == line(full, "moi normalizer") \
+        == "moi normalizer: 12"
 
 
 def test_evaluate_round_trip(tmp_path, capsys):

@@ -10,7 +10,6 @@ from hial import (
     build_hoi_transition,
     edv,
     influence_columns,
-    moi,
     propagate,
     unified_objective,
 )
@@ -28,7 +27,7 @@ def make_instance(seed, n_max=10, d=4):
     t = build_hoi_transition(g)
     k, alpha = 2, 0.8
     ps = propagate(t, x, k, alpha)
-    ic = influence_columns(t, range(n), k, alpha)
+    ic = influence_columns(t, k, alpha)
     m_k = oracles.dense_influence_matrix(t.matrix.toarray(), k, alpha)
     return rng, g, edges, n, ps, ic, m_k
 
@@ -61,6 +60,17 @@ def test_activation_sets_match_bruteforce(seed):
         assert set(acts.members(u)) == expect
 
 
+def test_activation_members_out_of_range_rejected():
+    _, g, _, n, ps, ic, _ = make_instance(4)
+    acts = build_activation_sets(ic, 0.05)
+    balls = build_feature_balls(ps, 1.0)
+    for u in (-1, n):
+        with pytest.raises(DataError):
+            acts.members(u)
+        with pytest.raises(DataError):
+            balls.members(u)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_sigma_union_identity(seed):
     """Union of single-seed activation sets equals max-then-threshold."""
@@ -69,7 +79,8 @@ def test_sigma_union_identity(seed):
     acts = build_activation_sets(ic, theta)
     seeds = set(rng.choice(n, size=3, replace=False).tolist())
     direct = oracles.activated_set(m_k, theta, seeds)
-    assert set(np.flatnonzero(acts.union_mask(seeds))) == direct
+    union = np.concatenate([acts.members(u) for u in seeds])
+    assert set(union.tolist()) == direct
 
 
 # -- feature balls ------------------------------------------------------
@@ -194,7 +205,7 @@ def build_state(seed, theta=0.05, radius=1.0, beta=0.3):
 
 def test_empty_state():
     *_, state, _, _, _ = build_state(0)
-    assert moi(state) == 0
+    assert state.moi_value == 0
     assert state.edv_value == 0.0
 
 
@@ -202,7 +213,7 @@ def test_first_add_matches_definitions():
     rng, g, edges, n, m_k, acts, balls, state, oballs, theta, beta = build_state(1)
     v = 0
     state.add(v)
-    assert moi(state) == oracles.moi_value(m_k, theta, {v}, oballs)
+    assert state.moi_value == oracles.moi_value(m_k, theta, {v}, oballs)
     assert state.edv_value == pytest.approx(edv(g, [v], beta), abs=1e-12)
 
 
@@ -210,7 +221,7 @@ def test_saturated_add_gains_zero_moi():
     *_, state, _, _, _ = build_state(2, radius=np.inf, theta=0.0)
     state.add(0)
     n = state.graph.num_nodes
-    assert moi(state) == n
+    assert state.moi_value == n
     assert state.moi_gain(1) == 0
 
 
@@ -234,7 +245,7 @@ def test_incremental_matches_scratch(seed):
         state.add(int(v))
         expect_moi = oracles.moi_value(m_k, theta, set(chosen), oballs)
         expect_edv = oracles.edv_value(edges, n, chosen, beta)
-        assert moi(state) == expect_moi
+        assert state.moi_value == expect_moi
         assert state.edv_value == pytest.approx(expect_edv, abs=1e-9)
         # evasion invariant
         live = ~state.in_seed
@@ -244,9 +255,7 @@ def test_incremental_matches_scratch(seed):
         for w in range(n):
             if w in chosen:
                 continue
-            assert (state.evasion[w] < 1.0) == (
-                state.is_neighbor[w] and w in frontier) or (
-                state.evasion[w] == 1.0)
+            assert (state.evasion[w] < 1.0) == (w in frontier)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -254,13 +263,13 @@ def test_gain_queries_match_add(seed):
     rng, g, edges, n, m_k, acts, balls, state, oballs, theta, beta = \
         build_state(seed, radius=0.8, beta=0.5)
     for _ in range(min(4, n - 1)):
-        candidates = [v for v in range(n) if v not in state.seed_set]
+        candidates = np.flatnonzero(~state.in_seed)
         v = int(rng.choice(candidates))
         mg = state.moi_gain(v)
         eg = state.edv_gain(v)
-        pre_moi, pre_edv = moi(state), state.edv_value
+        pre_moi, pre_edv = state.moi_value, state.edv_value
         state.add(v)
-        assert moi(state) - pre_moi == mg
+        assert state.moi_value - pre_moi == mg
         assert state.edv_value - pre_edv == pytest.approx(eg, abs=1e-9)
         assert mg >= 0
         assert eg >= -1e-12
@@ -272,7 +281,7 @@ def test_moi_reduces_to_sigma_when_radius_zero():
             build_state(seed, radius=0.0)
         for v in rng.permutation(n)[:3]:
             state.add(int(v))
-        assert moi(state) == int(state.activated.sum())
+        assert state.moi_value == int(state.activated.sum())
 
 
 # -- unified objective ---------------------------------------------------

@@ -59,6 +59,29 @@ def test_normalizer_moi_matches_scratch():
         assert ctx.moi_hat == expect
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_restricted_pool_normalizer_covers_all_nodes(seed):
+    """A candidate pool narrows the seeds, not MoI(V): the normalizer is the
+    ball union over what every node activates, and auto theta is the
+    quantile over the pool's influence columns only."""
+    pool = (0, 2, 5)
+    g, x, edges, n, ctx = make_context(seed, candidate_pool=pool)
+    m_k = oracles.dense_influence_matrix(
+        ctx.transition.matrix.toarray(), ctx.config.k, ctx.config.alpha)
+    oballs = oracles.feature_balls(ctx.prop_state.propagated_features,
+                                  ctx.config.radius)
+    expect = oracles.moi_value(m_k, ctx.config.theta, set(range(n)), oballs)
+    assert ctx.moi_hat == expect
+    assert list(ctx.pool) == list(pool)
+
+    g, x, edges, n, ctx = make_context(seed, candidate_pool=pool,
+                                       theta="auto")
+    cols = m_k[:, pool]
+    norm = (cols / m_k.sum(axis=1)[:, None])[cols > 0]
+    assert ctx.config.theta == pytest.approx(
+        np.quantile(norm, ctx.config.theta_quantile), rel=1e-9)
+
+
 def test_degenerate_theta_rejected():
     rng = np.random.default_rng(5)
     g = build([[0, 1], [1, 2]], num_nodes=3)
