@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -123,7 +124,8 @@ def cmd_stats(args) -> int:
     print(f"incidence pairs: {int(g.node_degree.sum())}")
     print(_distribution_line("node degree", g.node_degree))
     print(_distribution_line("hyperedge size", g.edge_degree))
-    cfg = _build_config(args, ds)
+    # stats selects nothing, so --budget need not fit the candidate pool
+    cfg = replace(_build_config(args, ds), budget=1)
     ctx = selector.prepare(g, ds.features, cfg)
     print(f"resolved theta: {ctx.resolved_params['theta']:.17g}")
     print(f"resolved radius: {ctx.resolved_params['radius']:.17g}")

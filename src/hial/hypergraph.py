@@ -8,7 +8,7 @@ at build time.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,34 +55,6 @@ class Hypergraph:
         return self._ht.indices[self._ht.indptr[e]:self._ht.indptr[e + 1]]
 
     # -- structural queries ----------------------------------------------
-
-    def shared_edge_count(self, u: int, v: int) -> int:
-        """Number of hyperedges containing both ``u`` and ``v``."""
-        self._check_node(u)
-        self._check_node(v)
-        if u == v:
-            raise DataError("shared_edge_count requires two distinct nodes")
-        return int(np.intersect1d(
-            self.node_to_edges(u), self.node_to_edges(v),
-            assume_unique=True).size)
-
-    def one_hop_neighbors(self, v: int) -> np.ndarray:
-        """Sorted ids of nodes sharing at least one hyperedge with ``v``."""
-        self._check_node(v)
-        indptr, indices, _ = self.adjacency()
-        return indices[indptr[v]:indptr[v + 1]].copy()
-
-    def neighborhood_of_set(self, seeds: Iterable[int]) -> np.ndarray:
-        """One-hop neighbors of the set, excluding the set itself."""
-        seed_arr = np.asarray(sorted(set(int(s) for s in seeds)), dtype=np.int64)
-        if seed_arr.size and (seed_arr[0] < 0 or seed_arr[-1] >= self.num_nodes):
-            raise DataError("seed id out of range")
-        mask = np.zeros(self.num_nodes, dtype=bool)
-        indptr, indices, _ = self.adjacency()
-        for s in seed_arr:
-            mask[indices[indptr[s]:indptr[s + 1]]] = True
-        mask[seed_arr] = False
-        return np.flatnonzero(mask)
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Pairwise co-membership structure as CSR ``(indptr, indices, counts)``.

@@ -6,8 +6,9 @@ feature-space balls around the activated nodes; all balls are computed
 once into the sparse index of :class:`FeatureBalls`. The diffusion side scores
 the expected number of one-hop neighbors activated through shared
 hyperedges. Both are monotone and submodular, so the greedy selector keeps
-an incrementally updated :class:`CoverageState` and answers marginal-gain
-queries without mutation.
+an incrementally updated :class:`CoverageState` and scores whole batches of
+candidates without mutation: the coverage gains are the row lengths of one
+boolean sparse product, the diffusion gains one sparse mat-vec.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from . import kernels
 from .errors import ConfigError, DataError
 from .hypergraph import Hypergraph
 from .propagation import InfluenceColumns, PropagationState
@@ -74,14 +75,15 @@ def build_activation_sets(ic: InfluenceColumns, theta: float) -> ActivationSets:
 class FeatureBalls:
     """Radius-``r`` Euclidean neighborhoods in propagated feature space.
 
-    Every ball is computed once, at construction, into one sparse index:
-    the ball of node ``u`` is ``indices[start[u]:stop[u]]``, the sorted
+    Every ball is computed once, at construction, into one sparse index of
+    distinct rows, CSR style: the ball of node ``u`` is row
+    ``row_of[u]``, i.e. ``indices[indptr[r]:indptr[r + 1]]``, the sorted
     int32 ids within ``radius`` of ``u`` (always including ``u``). A
-    finite radius stores the rows back to back, CSR style, and builds them
-    in row blocks of about ``BLOCK_BYTES`` of distance work: KD-tree
-    queries for at most ``BRUTE_DIM`` dimensions, direct pairwise
-    differences above. An infinite radius stores the single row ``0..n-1``
-    that every node's ``start``/``stop`` point at, so it stays O(n).
+    finite radius stores one row per node and builds them in row blocks of
+    about ``BLOCK_BYTES`` of distance work: KD-tree queries for at most
+    ``BRUTE_DIM`` dimensions, direct pairwise differences above. An
+    infinite radius stores the single row ``0..n-1`` that every node maps
+    to, so it stays O(n).
     """
 
     BRUTE_DIM = 16
@@ -94,12 +96,12 @@ class FeatureBalls:
         self.radius = float(radius)
         n = self.num_nodes = self.points.shape[0]
         if math.isfinite(self.radius):
-            indptr, self.indices = self._build_index()
-            self.start, self.stop = indptr[:-1], indptr[1:]
+            self.indptr, self.indices = self._build_index()
+            self.row_of = np.arange(n, dtype=np.int64)
         else:
+            self.indptr = np.array([0, n], dtype=np.int64)
             self.indices = np.arange(n, dtype=np.int32)
-            self.start = np.zeros(n, dtype=np.int64)
-            self.stop = np.full(n, n, dtype=np.int64)
+            self.row_of = np.zeros(n, dtype=np.int64)
 
     def _build_index(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR row pointer and concatenated sorted rows of every ball."""
@@ -120,6 +122,7 @@ class FeatureBalls:
             else:
                 diff = blk[:, None, :] - pts[None, :, :]
                 ok = np.einsum("ijk,ijk->ij", diff, diff) <= r * r
+                del diff  # else two block tensors live while the next forms
                 sizes[:] = np.count_nonzero(ok, axis=1)
                 rows.append(np.nonzero(ok)[1].astype(np.int32))
         np.cumsum(indptr, out=indptr)
@@ -129,15 +132,16 @@ class FeatureBalls:
         """Sorted node ids within ``radius`` of node ``u`` (always incl. u)."""
         if not 0 <= u < self.num_nodes:
             raise DataError(f"node id {u} out of range")
-        return self.indices[self.start[u]:self.stop[u]]
+        r = self.row_of[u]
+        return self.indices[self.indptr[r]:self.indptr[r + 1]]
 
-    def union_size(self, rows: np.ndarray) -> int:
+    def union_size(self, nodes: np.ndarray) -> int:
         """Number of distinct nodes in the balls of the nodes marked in the
-        boolean mask ``rows``."""
-        if not math.isfinite(self.radius):
-            return self.num_nodes if rows.any() else 0
+        boolean mask ``nodes``."""
+        rows = np.zeros(self.indptr.size - 1, dtype=bool)
+        rows[self.row_of[nodes]] = True
         covered = np.zeros(self.num_nodes, dtype=bool)
-        covered[self.indices[np.repeat(rows, self.stop - self.start)]] = True
+        covered[self.indices[np.repeat(rows, np.diff(self.indptr))]] = True
         return int(np.count_nonzero(covered))
 
 
@@ -154,83 +158,145 @@ def _check_beta(beta: float) -> None:
 class CoverageState:
     """Incremental state of the seed set's coverage and diffusion values.
 
-    Single-writer; :meth:`moi_gain` / :meth:`edv_gain` are pure reads and
-    may be evaluated for any number of candidates against a frozen state.
+    MoI is plain set coverage: seeding ``c`` covers the union of the balls
+    of the nodes in ``A_c``. The state keeps ``A``, the activation sets
+    with every activated node mapped to its ball row, and ``U``, a boolean
+    CSR whose row ``r`` is ball row ``r`` minus the ids covered so far
+    (empty for every activated node, whose ball is covered). The MoI gains
+    of a batch of candidates are the row lengths of the boolean product
+    ``A[cands] @ U``: the boolean sum counts an uncovered id once and a
+    covered id never. The product is built in row blocks of at most
+    ``BLOCK_FLOPS`` multiply-adds, which also bounds each block's output.
+    The EDV gains are one mat-vec of the adjacency-count CSR against the
+    evasion probabilities of the non-seed nodes.
+
+    Single-writer; :meth:`gains` is a pure read and may be evaluated for
+    any number of candidates against a frozen state.
     """
+
+    BLOCK_FLOPS = 1 << 20
 
     def __init__(self, g: Hypergraph, acts: ActivationSets,
                  balls: FeatureBalls, beta: float):
         _check_beta(beta)
         self.graph = g
         self.acts = acts
-        self.balls = balls
         self.beta = beta
         n = g.num_nodes
+        n_rows = balls.indptr.size - 1
+        self._acts = sp.csr_matrix(
+            (np.ones(acts.indices.size, dtype=bool), balls.row_of[acts.indices],
+             acts.indptr.copy()), shape=(n, n_rows))
+        self._acts.sum_duplicates()  # an infinite radius has one shared row
+        self._balls = sp.csr_matrix(
+            (np.ones(balls.indices.size, dtype=bool), balls.indices,
+             balls.indptr), shape=(n_rows, n))
+        self._adj = g.adjacency()
         self.in_seed = np.zeros(n, dtype=bool)
         self.activated = np.zeros(n, dtype=bool)
-        self.covered = np.zeros(n, dtype=np.uint8)
+        self.covered = np.zeros(n, dtype=bool)
         self.evasion = np.ones(n, dtype=np.float64)
         self.moi_value = 0
         self.edv_value = 0.0
 
     # -- pure reads -------------------------------------------------------
 
-    def _new_coverage(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes ``v`` would newly activate, and their balls concatenated."""
-        a_v = self.acts.members(v)
-        new_act = a_v[~self.activated[a_v]]
-        if new_act.size == 0:
-            return new_act, np.zeros(0, dtype=np.int32)
-        return new_act, np.concatenate([self.balls.members(j) for j in new_act])
+    def gains(self, cands) -> tuple[np.ndarray, np.ndarray]:
+        """MoI (int64) and EDV (float64) gains of seeding each node of
+        ``cands`` alone, without mutating."""
+        cands = np.asarray(cands, dtype=np.int64)
+        self._check_candidates(cands)
+        return self._coverage_gains(cands), self._diffusion_gains(cands)
 
-    def moi_gain(self, v: int) -> int:
-        """Coverage nodes added by seeding ``v``, without mutating."""
-        self._check_candidate(v)
-        return kernels.count_uncovered_unique(self.covered,
-                                              self._new_coverage(v)[1])
+    def _coverage_gains(self, cands: np.ndarray) -> np.ndarray:
+        a, u = self._acts, self._balls
+        indptr, pos = _gather(a.indptr, cands)
+        rows = a.indices[pos]
+        # flops[i]: multiply-adds of the product rows of cands[:i]
+        flops = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(np.diff(u.indptr)[rows], out=flops[1:])
+        flops = flops[indptr]
+        moi = np.empty(cands.size, dtype=np.int64)
+        lo = 0
+        while lo < cands.size:  # a candidate over budget gets its own block
+            hi = max(lo + 1, int(np.searchsorted(
+                flops, flops[lo] + self.BLOCK_FLOPS, side="right")) - 1)
+            p, q = indptr[lo], indptr[hi]
+            block = sp.csr_matrix(
+                (np.ones(q - p, dtype=bool), rows[p:q], indptr[lo:hi + 1] - p),
+                shape=(hi - lo, u.shape[0]))
+            moi[lo:hi] = np.diff((block @ u).indptr)
+            lo = hi
+        return moi
 
-    def edv_gain(self, v: int) -> float:
-        """Expected-diffusion gain of seeding ``v``, without mutating."""
-        self._check_candidate(v)
-        g = self.graph
-        gain = self.evasion[v]  # v's own term moves into the seed count
-        d_v = g.node_degree[v]
-        if d_v > 0:
-            indptr, indices, counts = g.adjacency()
-            nb = indices[indptr[v]:indptr[v + 1]]
-            ct = counts[indptr[v]:indptr[v + 1]]
-            free = ~self.in_seed[nb]
-            gain += self.beta / d_v * float(self.evasion[nb[free]] @ ct[free])
-        return float(gain)
+    def _diffusion_gains(self, cands: np.ndarray) -> np.ndarray:
+        # a candidate's own term moves into the seed count; a node in no
+        # hyperedge has no neighbors, so its sum is 0 whatever d is
+        free = self.evasion * ~self.in_seed
+        d = np.maximum(self.graph.node_degree[cands], 1)
+        adj_ptr, adj_ids, adj_counts = self._adj
+        indptr, pos = _gather(adj_ptr, cands)
+        # the sparse mat-vec of the adjacency rows of cands with free: each
+        # row sums its entries in order, so a gain does not depend on its
+        # batch
+        row = np.repeat(np.arange(cands.size), np.diff(indptr))
+        sums = np.bincount(row, weights=adj_counts[pos] * free[adj_ids[pos]],
+                           minlength=cands.size)
+        return self.evasion[cands] + self.beta / d * sums
 
     # -- mutation ---------------------------------------------------------
 
     def add(self, v: int) -> "CoverageState":
-        """Seed ``v``: extend activation/coverage and update evasion
-        products for v's non-seed neighbors."""
-        self._check_candidate(v)
-        new_act, ball_ids = self._new_coverage(v)
-        self.moi_value += kernels.mark_covered(self.covered, ball_ids)
-        self.activated[new_act] = True
+        """Seed ``v``: extend activation/coverage, prune the covered ids
+        from ``U`` and update evasion products for v's non-seed
+        neighbors."""
+        v = int(v)
+        one = np.array([v])
+        self._check_candidates(one)
+        a, u = self._acts, self._balls
+        # U holds uncovered ids only, so MoI is the count of covered ids
+        _, pos = _gather(u.indptr, a.indices[a.indptr[v]:a.indptr[v + 1]])
+        self.covered[u.indices[pos]] = True
+        moi = int(np.count_nonzero(self.covered))
+        if moi > self.moi_value:
+            self.moi_value = moi
+            keep = (~self.covered)[u.indices]
+            kept = np.zeros(keep.size + 1, dtype=u.indptr.dtype)
+            np.cumsum(keep, out=kept[1:])
+            self._balls = sp.csr_matrix(
+                (u.data[keep], u.indices[keep], kept[u.indptr]), shape=u.shape)
+        self.activated[self.acts.members(v)] = True
 
-        self.edv_value += self.edv_gain(v)
-        g = self.graph
-        d_v = g.node_degree[v]
-        if d_v > 0:
-            indptr, indices, counts = g.adjacency()
-            nb = indices[indptr[v]:indptr[v + 1]]
-            ct = counts[indptr[v]:indptr[v + 1]]
-            free = ~self.in_seed[nb]
-            nb, ct = nb[free], ct[free]
-            self.evasion[nb] *= 1.0 - self.beta * ct / d_v
+        self.edv_value += float(self._diffusion_gains(one)[0])
+        adj_ptr, adj_ids, adj_counts = self._adj
+        d_v = self.graph.node_degree[v]
+        nb = adj_ids[adj_ptr[v]:adj_ptr[v + 1]]
+        ct = adj_counts[adj_ptr[v]:adj_ptr[v + 1]]
+        free = ~self.in_seed[nb]
+        self.evasion[nb[free]] *= 1.0 - self.beta * ct[free] / d_v
         self.in_seed[v] = True
         return self
 
-    def _check_candidate(self, v: int) -> None:
-        if not 0 <= v < self.graph.num_nodes:
-            raise DataError(f"node id {v} out of range")
-        if self.in_seed[v]:
-            raise DataError(f"node {v} is already a seed")
+    def _check_candidates(self, cands: np.ndarray) -> None:
+        bad = (cands < 0) | (cands >= self.graph.num_nodes)
+        if bad.any():
+            raise DataError(f"node id {cands[bad][0]} out of range")
+        seeded = self.in_seed[cands]
+        if seeded.any():
+            raise DataError(f"node {cands[seeded][0]} is already a seed")
+
+
+def _gather(indptr: np.ndarray,
+            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row pointer and entry positions of the rows ``rows`` of a CSR
+    structure with row pointer ``indptr``, in order. A few numpy calls:
+    scipy's fancy row indexing costs several times more per call on the
+    small batches of a greedy round."""
+    start = indptr[rows]
+    lens = indptr[rows + 1] - start
+    out = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=out[1:])
+    return out, np.arange(out[-1]) + np.repeat(start - out[:-1], lens)
 
 
 def edv(g: Hypergraph, seeds, beta: float) -> float:
@@ -258,11 +324,12 @@ def edv(g: Hypergraph, seeds, beta: float) -> float:
     return float(seed_arr.size + np.sum(1.0 - evasion[touched]))
 
 
-def marginal_gain(state: CoverageState, v: int, gamma: float,
-                  moi_hat: float, edv_hat: float) -> float:
-    """Gain of the unified objective from seeding ``v`` (pure read)."""
-    return unified_objective(state.moi_gain(v), state.edv_gain(v),
-                             moi_hat, edv_hat, gamma)
+def marginal_gain(state: CoverageState, cands, gamma: float,
+                  moi_hat: float, edv_hat: float) -> np.ndarray:
+    """Gains of the unified objective from seeding each node of ``cands``
+    alone (pure read)."""
+    moi, diffusion = state.gains(cands)
+    return unified_objective(moi, diffusion, moi_hat, edv_hat, gamma)
 
 
 def unified_objective(moi_val: float, edv_val: float, moi_hat: float,

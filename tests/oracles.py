@@ -4,11 +4,16 @@ These deliberately share no code with the production paths: dense matrix
 recurrences instead of sparse column batches, explicit set arithmetic
 instead of bitsets, direct definition evaluation instead of incremental
 updates. Size guards keep them honest at test scale only.
+
+The structural queries at the end read a built ``Hypergraph`` through its
+incidence and adjacency; only the tests need them.
 """
 
 import itertools
 
 import numpy as np
+
+from hial import DataError
 
 MAX_DENSE_N = 2000
 MAX_ENUM = 10**6
@@ -179,3 +184,29 @@ def random_hypergraph(rng, n, m, max_size=5):
         size = int(rng.integers(1, max_size + 1))
         edges.append(list(rng.choice(n, size=min(size, n), replace=False)))
     return edges
+
+
+def shared_edge_count(g, u, v):
+    """Number of hyperedges containing both ``u`` and ``v``."""
+    if u == v:
+        raise DataError("shared_edge_count requires two distinct nodes")
+    return int(np.intersect1d(g.node_to_edges(u), g.node_to_edges(v),
+                              assume_unique=True).size)
+
+
+def one_hop_neighbors(g, v):
+    """Sorted ids of nodes sharing at least one hyperedge with ``v``."""
+    if not 0 <= v < g.num_nodes:
+        raise DataError(f"node id {v} out of range")
+    indptr, indices, _ = g.adjacency()
+    return indices[indptr[v]:indptr[v + 1]].copy()
+
+
+def neighborhood_of_set(g, seeds):
+    """One-hop neighbors of the set, excluding the set itself."""
+    seeds = sorted(set(int(s) for s in seeds))
+    mask = np.zeros(g.num_nodes, dtype=bool)
+    for s in seeds:
+        mask[one_hop_neighbors(g, s)] = True
+    mask[seeds] = False
+    return np.flatnonzero(mask)

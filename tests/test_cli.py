@@ -94,6 +94,21 @@ def test_stats_deterministic(capsys):
     assert out_a == out_b
 
 
+def test_stats_ignores_budget_on_small_split(tmp_path, capsys):
+    """stats selects nothing, so the default --budget 10 need not fit a
+    5-node train split, and --budget does not change the report."""
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"train": ["0", "2", "3", "7", "9"],
+                                 "test": ["1", "4"]}))
+    argv = ["stats", "--hyperedges", str(SAMPLE / "toy.hyperedges"),
+            "--features", str(SAMPLE / "toy.features.csv"),
+            "--splits", str(split), "--train-split"]
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert "moi normalizer" in out
+    assert run(argv + ["--budget", "3"], capsys)[1] == out
+
+
 def test_stats_train_split_reports_pool(tmp_path, capsys):
     """--train-split narrows the reported activation sets to the pool; the
     MoI normalizer still covers every node."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,7 @@ def test_radius_infinite_covers_all():
     for u in range(n):
         assert list(balls.members(u)) == list(range(n))
     assert balls.indices.size == n  # one shared row, not n copies
+    assert balls.indptr.tolist() == [0, n]
 
 
 def test_negative_radius_rejected():
@@ -137,6 +140,23 @@ def test_balls_bruteforce_path_matches_kdtree(monkeypatch):
     for u in range(n):
         assert list(kd.members(u)) == list(brute.members(u))
         assert set(brute.members(u)) == expect[u]
+
+
+def test_bruteforce_balls_hold_one_block_tensor(monkeypatch):
+    """The direct-difference path keeps at most one block's n x d tensor
+    alive, so its memory stays near BLOCK_BYTES."""
+    rng = np.random.default_rng(12)
+    n, d = 400, 20
+    block_bytes = 50 * 8 * n * d
+    monkeypatch.setattr(FeatureBalls, "BLOCK_BYTES", block_bytes)
+    pts = rng.normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        FeatureBalls(pts, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block_bytes
 
 
 # -- EDV ----------------------------------------------------------------
@@ -187,7 +207,7 @@ def test_edv_bounds(seed):
         seeds = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
         val = edv(g, seeds, 0.4)
         n_s = len(set(seeds.tolist()))
-        frontier = g.neighborhood_of_set(seeds)
+        frontier = oracles.neighborhood_of_set(g, seeds)
         assert n_s - 1e-9 <= val <= n_s + frontier.size + 1e-9
 
 
@@ -222,7 +242,7 @@ def test_saturated_add_gains_zero_moi():
     state.add(0)
     n = state.graph.num_nodes
     assert state.moi_value == n
-    assert state.moi_gain(1) == 0
+    assert state.gains([1])[0].tolist() == [0]
 
 
 def test_duplicate_add_rejected():
@@ -231,7 +251,11 @@ def test_duplicate_add_rejected():
     with pytest.raises(DataError):
         state.add(1)
     with pytest.raises(DataError):
-        state.moi_gain(1)
+        state.gains([1])
+    n = state.graph.num_nodes
+    for bad in ([0, -1], [n]):  # a negative id must not wrap around
+        with pytest.raises(DataError):
+            state.gains(bad)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -251,7 +275,7 @@ def test_incremental_matches_scratch(seed):
         live = ~state.in_seed
         assert np.all(state.evasion[live] > 0)
         assert np.all(state.evasion[live] <= 1.0 + 1e-15)
-        frontier = set(g.neighborhood_of_set(chosen))
+        frontier = set(oracles.neighborhood_of_set(g, chosen))
         for w in range(n):
             if w in chosen:
                 continue
@@ -265,14 +289,44 @@ def test_gain_queries_match_add(seed):
     for _ in range(min(4, n - 1)):
         candidates = np.flatnonzero(~state.in_seed)
         v = int(rng.choice(candidates))
-        mg = state.moi_gain(v)
-        eg = state.edv_gain(v)
+        (mg,), (eg,) = state.gains([v])
         pre_moi, pre_edv = state.moi_value, state.edv_value
         state.add(v)
         assert state.moi_value - pre_moi == mg
         assert state.edv_value - pre_edv == pytest.approx(eg, abs=1e-9)
         assert mg >= 0
         assert eg >= -1e-12
+
+
+@pytest.mark.parametrize("block_flops", [1, 8, CoverageState.BLOCK_FLOPS])
+@pytest.mark.parametrize("radius", [0.0, 0.8, np.inf])
+@pytest.mark.parametrize("seed", range(8))
+def test_batched_gains_match_oracle(seed, radius, block_flops, monkeypatch):
+    """Every non-seed candidate's batched gains equal the oracle
+    differences after each add, however the product is split into blocks,
+    and a permuted batch gives the permuted gains."""
+    monkeypatch.setattr(CoverageState, "BLOCK_FLOPS", block_flops)
+    rng, g, edges, n, m_k, acts, balls, state, oballs, theta, beta = \
+        build_state(seed, radius=radius, beta=0.5)
+    chosen = []
+    for _ in range(min(4, n - 1)):
+        cands = np.flatnonzero(~state.in_seed)
+        moi, edv_g = state.gains(cands)
+        base_moi = oracles.moi_value(m_k, theta, set(chosen), oballs)
+        base_edv = oracles.edv_value(edges, n, chosen, beta)
+        for c, mg, eg in zip(cands.tolist(), moi, edv_g):
+            assert mg == oracles.moi_value(m_k, theta, set(chosen) | {c},
+                                           oballs) - base_moi
+            assert eg == pytest.approx(
+                oracles.edv_value(edges, n, chosen + [c], beta) - base_edv,
+                abs=1e-9)
+        perm = rng.permutation(cands.size)
+        p_moi, p_edv = state.gains(cands[perm])
+        assert p_moi.tolist() == moi[perm].tolist()
+        assert p_edv.tolist() == edv_g[perm].tolist()
+        v = int(rng.choice(cands))
+        chosen.append(v)
+        state.add(v)
 
 
 def test_moi_reduces_to_sigma_when_radius_zero():

@@ -6,6 +6,7 @@ import pytest
 
 from hial import (ConfigError, SelectionConfig, build, edv, prepare,
                   select_lazy, select_naive)
+from hial.objective import CoverageState
 import oracles
 
 
@@ -190,3 +191,27 @@ def test_greedy_guarantee_on_exhaustive_instances(seed):
     _, opt = oracles.exhaustive_best_subset(value, range(g.num_nodes), budget)
     greedy_val = value(set(res.seeds))
     assert greedy_val >= (1 - 1 / math.e) * opt - 1e-9
+
+
+def test_default_config_scale_lazy_equals_naive():
+    """The criterion-8 generator at n=5000 under the default radius=auto:
+    balls hold about 5% of n, so the pool's first batch spans several
+    product blocks. Lazy and naive agree exactly, with fewer evaluations
+    for lazy."""
+    rng = np.random.default_rng(0)
+    n, m = 5000, 2500
+    sizes = rng.poisson(4, m) + 1  # mean edge size 5
+    flat = rng.integers(0, n, size=int(sizes.sum()))
+    g = build([e.tolist() for e in np.split(flat, np.cumsum(sizes)[:-1])],
+              num_nodes=n)
+    centers = rng.normal(size=(4, 8)) * 3
+    x = centers[rng.integers(0, 4, n)] + rng.normal(size=(n, 8))
+    ctx = prepare(g, x, SelectionConfig(budget=10))
+    flops = np.diff(ctx.balls.indptr)[ctx.acts.indices].sum()
+    assert flops > 2 * CoverageState.BLOCK_FLOPS
+    naive = select_naive(ctx)
+    lazy = select_lazy(ctx)
+    assert lazy.seeds == naive.seeds
+    assert lazy.gains == naive.gains
+    assert lazy.trace == naive.trace
+    assert lazy.n_evaluations < naive.n_evaluations
