@@ -167,7 +167,7 @@ def cmd_evaluate(args) -> int:
     if ds.labels is None:
         raise DataError("evaluate requires --labels")
     doc = dataio.read_result(args.seeds)
-    ext_seeds = doc.get("seeds", [])
+    ext_seeds = dataio.id_lists(args.seeds, doc, ("seeds",)).get("seeds", [])
     if not ext_seeds:
         raise DataError(f"{args.seeds}: empty seed list")
     unknown = [s for s in ext_seeds if s not in ds.id_map]

@@ -36,6 +36,7 @@ __all__ = [
     "load_features",
     "load_labels",
     "load_splits",
+    "id_lists",
     "load_dataset",
     "write_result",
     "read_result",
@@ -173,11 +174,20 @@ def load_splits(path: str | Path) -> dict[str, list[str]]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON: {exc}") from None
-    out = {}
-    for key in ("train", "test"):
-        if key in doc:
-            out[key] = [str(x) for x in doc[key]]
-    return out
+    return id_lists(path, doc, ("train", "test"))
+
+
+def id_lists(path: str | Path, doc, keys) -> dict[str, list[str]]:
+    """The lists of string or integer ids under ``keys`` of the JSON object
+    ``doc``, as strings; any other shape raises :class:`DataError`."""
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    out = {key: doc[key] for key in keys if key in doc}
+    for key, ids in out.items():
+        if not (isinstance(ids, list) and all(type(x) in (str, int)
+                                              for x in ids)):
+            raise DataError(f"{path}: '{key}' must be a list of node ids")
+    return {key: [str(x) for x in ids] for key, ids in out.items()}
 
 
 def _sorted_ids(ids: set[str]) -> list[str]:

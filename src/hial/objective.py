@@ -2,18 +2,18 @@
 
 The coverage side activates every node whose normalized influence from the
 seed set strictly exceeds a threshold, then counts the union of
-feature-space balls around the activated nodes; all balls are computed
-once into the sparse index of :class:`FeatureBalls`. The diffusion side scores
-the expected number of one-hop neighbors activated through shared
-hyperedges. Both are monotone and submodular, so the greedy selector keeps
-an incrementally updated :class:`CoverageState` and scores whole batches of
-candidates without mutation: the coverage gains are the row lengths of one
-boolean sparse product, the diffusion gains one sparse mat-vec.
+feature-space balls around the activated nodes; all balls come from one
+KD-tree pair query, sorted once into the CSR index of :class:`FeatureBalls`.
+The diffusion side scores the expected number of one-hop neighbors
+activated through shared hyperedges. Both are monotone and submodular, so
+the greedy selector keeps an incrementally updated :class:`CoverageState`
+and scores whole batches of candidates without mutation: the coverage gains
+are the row lengths of one boolean sparse product, the diffusion gains one
+sparse mat-vec.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -79,15 +79,11 @@ class FeatureBalls:
     distinct rows, CSR style: the ball of node ``u`` is row
     ``row_of[u]``, i.e. ``indices[indptr[r]:indptr[r + 1]]``, the sorted
     int32 ids within ``radius`` of ``u`` (always including ``u``). A
-    finite radius stores one row per node and builds them in row blocks of
-    about ``BLOCK_BYTES`` of distance work: KD-tree queries for at most
-    ``BRUTE_DIM`` dimensions, direct pairwise differences above. An
-    infinite radius stores the single row ``0..n-1`` that every node maps
-    to, so it stays O(n).
+    finite radius stores one row per node, built from a single KD-tree
+    pair query whatever the dimension, so the transient memory is
+    proportional to the output. An infinite radius stores the single row
+    ``0..n-1`` that every node maps to, so it stays O(n).
     """
-
-    BRUTE_DIM = 16
-    BLOCK_BYTES = 32 << 20
 
     def __init__(self, points: np.ndarray, radius: float):
         if not radius >= 0:
@@ -105,35 +101,24 @@ class FeatureBalls:
 
     def _build_index(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR row pointer and concatenated sorted rows of every ball."""
-        pts, r = self.points, self.radius
-        n, d = pts.shape
-        block = max(1, self.BLOCK_BYTES // max(1, 8 * n * d))
-        tree = cKDTree(pts) if d <= self.BRUTE_DIM else None
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        rows = [np.zeros(0, dtype=np.int32)]
-        for lo in range(0, n, block):
-            blk = pts[lo:lo + block]
-            sizes = indptr[lo + 1:lo + 1 + blk.shape[0]]
-            if tree is not None:
-                hits = tree.query_ball_point(blk, r, return_sorted=True)
-                sizes[:] = [len(h) for h in hits]
-                rows.append(np.fromiter(itertools.chain.from_iterable(hits),
-                                        np.int32, int(sizes.sum())))
-            else:
-                diff = blk[:, None, :] - pts[None, :, :]
-                ok = np.einsum("ijk,ijk->ij", diff, diff) <= r * r
-                del diff  # else two block tensors live while the next forms
-                sizes[:] = np.count_nonzero(ok, axis=1)
-                rows.append(np.nonzero(ok)[1].astype(np.int32))
-        np.cumsum(indptr, out=indptr)
-        return indptr, np.concatenate(rows)
-
-    def members(self, u: int) -> np.ndarray:
-        """Sorted node ids within ``radius`` of node ``u`` (always incl. u)."""
-        if not 0 <= u < self.num_nodes:
-            raise DataError(f"node id {u} out of range")
-        r = self.row_of[u]
-        return self.indices[self.indptr[r]:self.indptr[r + 1]]
+        n = self.num_nodes
+        pairs = cKDTree(self.points).query_pairs(self.radius,
+                                                 output_type="ndarray")
+        # key u*n + v for v in ball(u): both orders of every pair and each
+        # node's own id; sorted, the keys list every row's ids in order
+        m = pairs.shape[0]
+        u, v = pairs.T
+        keys = np.empty(2 * m + n, dtype=np.int64)
+        np.multiply(u, n, out=keys[:m])
+        keys[:m] += v
+        np.multiply(v, n, out=keys[m:2 * m])
+        keys[m:2 * m] += u
+        del pairs, u, v  # only the keys stay alive through the sort
+        np.multiply(np.arange(n, dtype=np.int64), n + 1, out=keys[2 * m:])
+        keys.sort()
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        np.remainder(keys, n, out=keys)
+        return indptr, keys.astype(np.int32)
 
     def union_size(self, nodes: np.ndarray) -> int:
         """Number of distinct nodes in the balls of the nodes marked in the

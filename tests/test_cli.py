@@ -177,6 +177,38 @@ def test_evaluate_requires_labels(tmp_path, capsys):
     assert code == cli.EXIT_DATA
 
 
+@pytest.mark.parametrize("doc", [{"train": "12"}, ["1", "2"]],
+                         ids=["string-ids", "top-level-list"])
+def test_splits_wrong_shape_rejected(tmp_path, capsys, doc):
+    """A string is not an id list and a list is not an object: both exit 3
+    instead of reading the characters as ids or raising a TypeError."""
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps(doc))
+    code, _, err = run(["stats",
+                        "--hyperedges", str(SAMPLE / "toy.hyperedges"),
+                        "--features", str(SAMPLE / "toy.features.csv"),
+                        "--splits", str(split), "--train-split"], capsys)
+    assert code == cli.EXIT_DATA
+    assert str(split) in err
+
+
+@pytest.mark.parametrize("doc", [{"seeds": "12"}, ["1", "2"]],
+                         ids=["string-ids", "top-level-list"])
+def test_evaluate_seeds_wrong_shape_rejected(tmp_path, capsys, doc):
+    """The characters of a string are not seeds, and a list is not a result
+    document: both exit 3 instead of scoring or raising AttributeError."""
+    seeds = tmp_path / "s.json"
+    seeds.write_text(json.dumps(doc))
+    code, out, err = run(["evaluate",
+                          "--hyperedges", str(SAMPLE / "toy.hyperedges"),
+                          "--features", str(SAMPLE / "toy.features.csv"),
+                          "--labels", str(SAMPLE / "toy.labels.csv"),
+                          "--seeds", str(seeds)], capsys)
+    assert code == cli.EXIT_DATA
+    assert "accuracy" not in out
+    assert str(seeds) in err
+
+
 def test_exit_code_usage(capsys):
     assert run(["select"], capsys)[0] == cli.EXIT_USAGE
     assert run([], capsys)[0] == cli.EXIT_USAGE

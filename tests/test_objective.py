@@ -15,7 +15,6 @@ from hial import (
     propagate,
     unified_objective,
 )
-from hial import objective
 from hial.objective import CoverageState, FeatureBalls
 import oracles
 
@@ -65,12 +64,9 @@ def test_activation_sets_match_bruteforce(seed):
 def test_activation_members_out_of_range_rejected():
     _, g, _, n, ps, ic, _ = make_instance(4)
     acts = build_activation_sets(ic, 0.05)
-    balls = build_feature_balls(ps, 1.0)
     for u in (-1, n):
         with pytest.raises(DataError):
             acts.members(u)
-        with pytest.raises(DataError):
-            balls.members(u)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -88,18 +84,37 @@ def test_sigma_union_identity(seed):
 # -- feature balls ------------------------------------------------------
 
 
+def ball(balls, u):
+    """Sorted ids of the ball of node ``u``, read from the index."""
+    r = balls.row_of[u]
+    return balls.indices[balls.indptr[r]:balls.indptr[r + 1]]
+
+
+def assert_balls_match_oracle(balls, points, r):
+    expect = oracles.feature_balls(points, r)
+    for u in range(points.shape[0]):
+        row = ball(balls, u)
+        assert np.all(np.diff(row) > 0)  # sorted, no duplicates
+        assert set(row.tolist()) == expect[u]
+        assert u in expect[u]
+    # symmetry
+    for u, members in enumerate(expect):
+        for v in members:
+            assert u in expect[v]
+
+
 def test_radius_zero_distinct_features():
     _, g, _, n, ps, _, _ = make_instance(2)
     balls = build_feature_balls(ps, 0.0)
     for u in range(n):
-        assert list(balls.members(u)) == [u]
+        assert ball(balls, u).tolist() == [u]
 
 
 def test_radius_infinite_covers_all():
     _, g, _, n, ps, _, _ = make_instance(3)
     balls = build_feature_balls(ps, np.inf)
     for u in range(n):
-        assert list(balls.members(u)) == list(range(n))
+        assert ball(balls, u).tolist() == list(range(n))
     assert balls.indices.size == n  # one shared row, not n copies
     assert balls.indptr.tolist() == [0, n]
 
@@ -111,52 +126,44 @@ def test_negative_radius_rejected():
             build_feature_balls(ps, bad)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_balls_match_double_loop(seed):
-    rng, g, _, n, ps, _, _ = make_instance(seed)
-    r = float(rng.uniform(0.2, 3.0))
+# d=32 adds high-dimensional features; the d=4 cases keep their old ids
+@pytest.mark.parametrize("seed,d", [
+    *[pytest.param(s, 4, id=str(s)) for s in range(10)],
+    *[pytest.param(s, 32, id=f"{s}-d32") for s in range(10)]])
+def test_balls_match_double_loop(seed, d):
+    rng, g, _, n, ps, _, _ = make_instance(seed, d=d)
+    r = float(rng.uniform(0.2, 3.0)) * np.sqrt(d / 4)
     balls = build_feature_balls(ps, r)
-    expect = oracles.feature_balls(ps.propagated_features, r)
-    for u in range(n):
-        assert set(balls.members(u)) == expect[u]
-        assert u in expect[u]
-    # symmetry
-    for u in range(n):
-        for v in expect[u]:
-            assert u in expect[v]
+    assert_balls_match_oracle(balls, ps.propagated_features, r)
 
 
-def test_balls_bruteforce_path_matches_kdtree(monkeypatch):
-    rng = np.random.default_rng(11)
-    n, d, r = 30, 5, 1.4
-    pts = rng.normal(size=(n, d))
-    # 4 rows per block, so both paths build the index in several blocks
-    monkeypatch.setattr(FeatureBalls, "BLOCK_BYTES", 4 * 8 * n * d)
-    kd = FeatureBalls(pts, r)
-    monkeypatch.setattr(FeatureBalls, "BRUTE_DIM", 0)
-    monkeypatch.setattr(objective, "cKDTree", None)  # brute path needs no tree
-    brute = FeatureBalls(pts, r)
-    expect = oracles.feature_balls(pts, r)
-    for u in range(n):
-        assert list(kd.members(u)) == list(brute.members(u))
-        assert set(brute.members(u)) == expect[u]
+@pytest.mark.parametrize("r", [0.0, 1.0, np.sqrt(2.0), 2.0])
+def test_balls_exact_ties_on_integer_grid(r):
+    """Grid points sit exactly on the radius and some coincide: a distance
+    equal to the radius is inside, and duplicates share their balls."""
+    rng = np.random.default_rng(13)
+    grid = np.stack(np.meshgrid(*[np.arange(3.0)] * 3), -1).reshape(-1, 3)
+    pts = np.concatenate([grid, grid[rng.choice(len(grid), 8)]])
+    pts = pts[rng.permutation(len(pts))]
+    assert_balls_match_oracle(FeatureBalls(pts, r), pts, r)
 
 
-def test_bruteforce_balls_hold_one_block_tensor(monkeypatch):
-    """The direct-difference path keeps at most one block's n x d tensor
-    alive, so its memory stays near BLOCK_BYTES."""
+def test_balls_memory_follows_output():
+    """The build holds the pairs and the sort keys, never a block x n x d
+    distance tensor, so the traced peak of its numpy buffers stays a small
+    multiple of the input and the index (1.6x here)."""
     rng = np.random.default_rng(12)
-    n, d = 400, 20
-    block_bytes = 50 * 8 * n * d
-    monkeypatch.setattr(FeatureBalls, "BLOCK_BYTES", block_bytes)
+    n, d = 400, 32
     pts = rng.normal(size=(n, d))
     tracemalloc.start()
     try:
-        FeatureBalls(pts, 3.0)
+        balls = FeatureBalls(pts, 7.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * block_bytes
+    assert 2 * n < balls.indices.size < n * n  # neither empty nor full
+    held = pts.nbytes + balls.indptr.nbytes + balls.indices.nbytes
+    assert peak < 4 * held
 
 
 # -- EDV ----------------------------------------------------------------
