@@ -238,7 +238,7 @@ def main(argv=None) -> int:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a file that cannot be opened, e.g. a directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

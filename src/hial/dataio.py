@@ -7,7 +7,7 @@ File formats:
 * ``*.features.csv`` — first column external node id, remaining columns
   numeric feature values. A sparse variant (``id,idx:val,idx:val,...``)
   is accepted behind a flag.
-* ``*.labels.csv`` — ``id,class`` rows.
+* ``*.labels.csv`` — ``id,class`` rows, classes non-negative integers.
 * splits file — JSON with ``"train"`` / ``"test"`` lists of external ids.
 * result document — JSON with stable key order.
 
@@ -165,6 +165,8 @@ def load_labels(path: str | Path) -> dict[str, int]:
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: non-integer class {row[1]!r}") from None
+            if labels[ext] < 0:
+                raise DataError(f"{path}:{lineno}: negative class {row[1]!r}")
     return labels
 
 

@@ -43,17 +43,6 @@ class Hypergraph:
         """Binary n x m incidence matrix (CSR)."""
         return self._h
 
-    def node_to_edges(self, v: int) -> np.ndarray:
-        """Sorted hyperedge ids containing node ``v``."""
-        self._check_node(v)
-        return self._h.indices[self._h.indptr[v]:self._h.indptr[v + 1]]
-
-    def edge_to_nodes(self, e: int) -> np.ndarray:
-        """Sorted node ids belonging to hyperedge ``e``."""
-        if not 0 <= e < self.num_edges:
-            raise DataError(f"hyperedge id {e} out of range [0, {self.num_edges})")
-        return self._ht.indices[self._ht.indptr[e]:self._ht.indptr[e + 1]]
-
     # -- structural queries ----------------------------------------------
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -71,12 +60,6 @@ class Hypergraph:
             self._adj = (a.indptr.copy(), a.indices.astype(np.int64),
                          a.data.astype(np.int64))
         return self._adj
-
-    # -- helpers ----------------------------------------------------------
-
-    def _check_node(self, v: int) -> None:
-        if not 0 <= v < self.num_nodes:
-            raise DataError(f"node id {v} out of range [0, {self.num_nodes})")
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.num_nodes}, m={self.num_edges})"

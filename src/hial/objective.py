@@ -15,6 +15,7 @@ sparse mat-vec.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class ActivationSets:
     """Per-node activated node sets ``A_u = {j : influence > theta}``.
 
@@ -43,33 +45,23 @@ class ActivationSets:
     the sorted ids ``u`` activates alone, for every node ``u``.
     """
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, theta: float):
-        self.indptr = indptr
-        self.indices = indices
-        self.theta = theta
-        self.num_nodes = indptr.size - 1
-
-    def members(self, u: int) -> np.ndarray:
-        """Sorted node ids activated by node ``u`` alone."""
-        if not 0 <= u < self.num_nodes:
-            raise DataError(f"node id {u} out of range")
-        return self.indices[self.indptr[u]:self.indptr[u + 1]]
+    indptr: np.ndarray   # int64, length n + 1
+    indices: np.ndarray  # int64
 
 
 def build_activation_sets(ic: InfluenceColumns, theta: float) -> ActivationSets:
-    """Threshold the normalized influence columns (strict inequality)."""
+    """Threshold the normalized influence columns (strict inequality).
+
+    ``ic.columns`` holds the normalized influence, so ``A_u`` is the row ids
+    of column ``u``'s entries above ``theta``: one mask over the entries,
+    no division and no per-entry column ids.
+    """
     if theta < 0:
         raise ConfigError(f"activation threshold must be >= 0, got {theta}")
     cols = ic.columns
-    n = cols.shape[1]
-    col_ids = np.repeat(np.arange(n), np.diff(cols.indptr))
-    rows = cols.indices.astype(np.int64)
-    # row sums are strictly positive wherever a column entry is nonzero
-    norm = cols.data / ic.row_sums[rows]
-    keep = norm > theta
-    counts = np.bincount(col_ids[keep], minlength=n)
-    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    return ActivationSets(indptr, rows[keep], float(theta))
+    pos = np.flatnonzero(cols.data > theta)
+    indptr = np.searchsorted(pos, cols.indptr)
+    return ActivationSets(indptr, cols.indices[pos].astype(np.int64))
 
 
 class FeatureBalls:
@@ -165,7 +157,6 @@ class CoverageState:
                  balls: FeatureBalls, beta: float):
         _check_beta(beta)
         self.graph = g
-        self.acts = acts
         self.beta = beta
         n = g.num_nodes
         n_rows = balls.indptr.size - 1
@@ -178,7 +169,6 @@ class CoverageState:
              balls.indptr), shape=(n_rows, n))
         self._adj = g.adjacency()
         self.in_seed = np.zeros(n, dtype=bool)
-        self.activated = np.zeros(n, dtype=bool)
         self.covered = np.zeros(n, dtype=bool)
         self.evasion = np.ones(n, dtype=np.float64)
         self.moi_value = 0
@@ -250,7 +240,6 @@ class CoverageState:
             np.cumsum(keep, out=kept[1:])
             self._balls = sp.csr_matrix(
                 (u.data[keep], u.indices[keep], kept[u.indptr]), shape=u.shape)
-        self.activated[self.acts.members(v)] = True
 
         self.edv_value += float(self._diffusion_gains(one)[0])
         adj_ptr, adj_ids, adj_counts = self._adj
@@ -281,7 +270,9 @@ def _gather(indptr: np.ndarray,
     lens = indptr[rows + 1] - start
     out = np.zeros(rows.size + 1, dtype=np.int64)
     np.cumsum(lens, out=out[1:])
-    return out, np.arange(out[-1]) + np.repeat(start - out[:-1], lens)
+    pos = np.repeat(start - out[:-1], lens)
+    pos += np.arange(out[-1])
+    return out, pos
 
 
 def edv(g: Hypergraph, seeds, beta: float) -> float:

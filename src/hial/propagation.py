@@ -12,8 +12,9 @@ Propagation mixes the smoothed signal with the initial features:
 ``X <- alpha * T X + (1 - alpha) * X0``. Because the recurrence is linear
 and channel-wise, the influence of node u's initial feature on node j's
 k-step feature is a scalar ``M_k[j, u]`` obeying the same recurrence with
-the identity as input. Its columns are built once, in sparse batches, and
-kept as one sparse n x n matrix next to the row-sum vector; no dense n x n
+the identity as input. Its columns are built once, in sparse batches,
+normalized by the row sums ``s_j = sum_l M_k[j, l]`` and kept as one sparse
+n x n matrix ``M_k[j, u] / s_j`` next to the row-sum vector; no dense n x n
 matrix is ever formed.
 """
 
@@ -67,16 +68,16 @@ class PropagationState:
 
 @dataclass(frozen=True)
 class InfluenceColumns:
-    """The influence matrix, stored by column.
+    """The row-normalized influence matrix, stored by column.
 
-    ``columns[:, u]`` is ``M_k[:, u]`` for every node ``u`` and
-    ``row_sums[j]`` is the row normalizer ``sum_l M_k[j, l]``.
+    ``columns[j, u]`` is ``M_k[j, u] / row_sums[j]``, the normalized
+    influence of node ``u`` on node ``j``, and ``row_sums[j]`` is the row
+    normalizer ``sum_l M_k[j, l]``; ``columns * row_sums[:, None]`` gives
+    back ``M_k``.
     """
 
-    columns: sp.csc_matrix          # n x n, non-negative
+    columns: sp.csc_matrix          # n x n, entries in (0, 1]
     row_sums: np.ndarray            # float64, length n
-    k: int
-    alpha: float
 
 
 def _check_alpha_k(alpha: float, k: int) -> None:
@@ -171,8 +172,8 @@ def _basis_block(n: int, ids: np.ndarray) -> sp.csc_matrix:
     return sp.csc_matrix((data, ids.astype(np.int32), indptr), shape=(n, ids.size))
 
 
-def _column_block(t: TransitionMatrix, ids: np.ndarray, k: int,
-                  alpha: float) -> sp.csc_matrix:
+def _column_block(t: TransitionMatrix, ids: np.ndarray, k: int, alpha: float,
+                  row_sums: np.ndarray) -> sp.csc_matrix:
     e = _basis_block(t.num_nodes, ids)
     v = e
     for _ in range(k):
@@ -180,21 +181,26 @@ def _column_block(t: TransitionMatrix, ids: np.ndarray, k: int,
     v = v.tocsc()
     v.eliminate_zeros()
     v.sort_indices()
+    # a row sum is strictly positive wherever the row has a nonzero entry
+    v.data /= row_sums[v.indices]
     return v
 
 
 def influence_columns(t: TransitionMatrix, k: int, alpha: float,
                       batch_size: int = 4096) -> InfluenceColumns:
-    """Every column of the influence matrix, plus its row sums.
+    """Every column of the row-normalized influence matrix, plus its row
+    sums.
 
-    Columns are computed in sparse batches (k sparse products per batch);
-    no dense n x n matrix is formed.
+    Columns are computed in sparse batches (k sparse products per batch)
+    and each batch is divided by the row sums before the batches are
+    stacked; no dense n x n matrix is formed.
     """
     _check_alpha_k(alpha, k)
     if t.num_nodes == 0:
         raise DataError("hypergraph has no nodes")
+    row_sums = row_sum_vector(t, k, alpha)
     ids = np.arange(t.num_nodes, dtype=np.int64)
-    blocks = [_column_block(t, ids[i:i + batch_size], k, alpha)
+    blocks = [_column_block(t, ids[i:i + batch_size], k, alpha, row_sums)
               for i in range(0, ids.size, batch_size)]
     cols = blocks[0] if len(blocks) == 1 else sp.hstack(blocks, format="csc")
-    return InfluenceColumns(cols, row_sum_vector(t, k, alpha), k, alpha)
+    return InfluenceColumns(cols, row_sums)

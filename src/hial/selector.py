@@ -80,6 +80,8 @@ class SelectionConfig:
                         ("radius_quantile", self.radius_quantile)):
             if not 0.0 < q < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1), got {q}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng seed must be >= 0, got {self.rng_seed}")
 
     def resolve_pool(self, num_nodes: int) -> np.ndarray:
         if self.candidate_pool is None:
@@ -113,7 +115,6 @@ class SelectionContext:
     pool: np.ndarray
     transition: propagation.TransitionMatrix
     prop_state: propagation.PropagationState
-    columns: propagation.InfluenceColumns
     acts: objective.ActivationSets
     balls: objective.FeatureBalls
     moi_hat: float
@@ -131,11 +132,11 @@ def _resolve_theta(cfg: SelectionConfig, ic: propagation.InfluenceColumns,
     entries in the pool's columns."""
     if cfg.theta != AUTO:
         return float(cfg.theta)
-    cols = ic.columns[:, pool]
-    if cols.nnz == 0:
+    norm = ic.columns.data[objective._gather(ic.columns.indptr, pool)[1]]
+    if norm.size == 0:
         raise ConfigError("no nonzero influence entries; cannot auto-resolve theta")
-    norm = cols.data / ic.row_sums[cols.indices]
-    return float(np.quantile(norm, cfg.theta_quantile))
+    # norm is a copy, so the quantile may partition it in place
+    return float(np.quantile(norm, cfg.theta_quantile, overwrite_input=True))
 
 
 def _resolve_radius(cfg: SelectionConfig, feats: np.ndarray) -> float:
@@ -181,6 +182,7 @@ def prepare(g: Hypergraph, features: np.ndarray,
     radius = _resolve_radius(cfg, ps.propagated_features)
     resolved = replace(cfg, theta=theta, radius=radius)
     acts = objective.build_activation_sets(ic, theta)
+    del ic  # the ball build's transient need not sit on top of the matrix
     balls = objective.build_feature_balls(ps, radius)
     sigma_all = np.zeros(g.num_nodes, dtype=bool)
     sigma_all[acts.indices] = True
@@ -191,7 +193,7 @@ def prepare(g: Hypergraph, features: np.ndarray,
         "gamma": cfg.gamma, "backend": cfg.backend,
         "moi_hat": moi_hat, "edv_hat": edv_hat,
     }
-    return SelectionContext(g, resolved, pool, t, ps, ic, acts, balls,
+    return SelectionContext(g, resolved, pool, t, ps, acts, balls,
                             moi_hat, edv_hat, params)
 
 

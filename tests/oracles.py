@@ -186,18 +186,37 @@ def random_hypergraph(rng, n, m, max_size=5):
     return edges
 
 
+def _check_node(g, v):
+    if not 0 <= v < g.num_nodes:
+        raise DataError(f"node id {v} out of range [0, {g.num_nodes})")
+
+
+def node_to_edges(g, v):
+    """Sorted hyperedge ids containing node ``v``."""
+    _check_node(g, v)
+    h = g.incidence
+    return h.indices[h.indptr[v]:h.indptr[v + 1]]
+
+
+def edge_to_nodes(g, e):
+    """Sorted node ids belonging to hyperedge ``e``."""
+    if not 0 <= e < g.num_edges:
+        raise DataError(f"hyperedge id {e} out of range [0, {g.num_edges})")
+    ht = g.incidence.T.tocsr()
+    return ht.indices[ht.indptr[e]:ht.indptr[e + 1]]
+
+
 def shared_edge_count(g, u, v):
     """Number of hyperedges containing both ``u`` and ``v``."""
     if u == v:
         raise DataError("shared_edge_count requires two distinct nodes")
-    return int(np.intersect1d(g.node_to_edges(u), g.node_to_edges(v),
+    return int(np.intersect1d(node_to_edges(g, u), node_to_edges(g, v),
                               assume_unique=True).size)
 
 
 def one_hop_neighbors(g, v):
     """Sorted ids of nodes sharing at least one hyperedge with ``v``."""
-    if not 0 <= v < g.num_nodes:
-        raise DataError(f"node id {v} out of range")
+    _check_node(g, v)
     indptr, indices, _ = g.adjacency()
     return indices[indptr[v]:indptr[v + 1]].copy()
 

@@ -220,6 +220,38 @@ def test_exit_code_missing_file(capsys):
     assert code == cli.EXIT_DATA
 
 
+def test_exit_code_directory_as_file(tmp_path, capsys):
+    code, _, err = run(toy_args(["--hyperedges", str(tmp_path)]), capsys)
+    assert code == cli.EXIT_DATA
+    assert str(tmp_path) in err
+
+
+def test_exit_code_negative_seed(capsys):
+    code, _, err = run(toy_args(["--budget", "1", "--seed", "-1"]), capsys)
+    assert code == cli.EXIT_CONFIG
+    assert "seed" in err
+
+
+def test_evaluate_negative_label_rejected(tmp_path, capsys):
+    """A negative class would index the last one-hot column and score a
+    plausible accuracy; it exits 3 instead."""
+    rows = (SAMPLE / "toy.labels.csv").read_text().splitlines()
+    labels = tmp_path / "shifted.labels.csv"
+    labels.write_text("".join(f"{r.split(',')[0]},{int(r.split(',')[1]) - 1}\n"
+                              for r in rows))
+    out = tmp_path / "res.json"
+    assert run(toy_args(["--budget", "2", "--output", str(out)]), capsys)[0] == 0
+    code, stdout, err = run(["evaluate",
+                             "--hyperedges", str(SAMPLE / "toy.hyperedges"),
+                             "--features", str(SAMPLE / "toy.features.csv"),
+                             "--labels", str(labels),
+                             "--splits", str(SAMPLE / "toy.splits.json"),
+                             "--seeds", str(out)], capsys)
+    assert code == cli.EXIT_DATA
+    assert "accuracy" not in stdout
+    assert "negative class" in err
+
+
 def test_exit_code_config_error(capsys):
     code, _, err = run(toy_args(["--budget", "999"]), capsys)
     assert code == cli.EXIT_CONFIG

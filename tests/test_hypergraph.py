@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hial import DataError, build
-from oracles import (neighborhood_of_set, one_hop_neighbors,
-                     random_hypergraph, shared_edge_count)
+from oracles import (edge_to_nodes, neighborhood_of_set, node_to_edges,
+                     one_hop_neighbors, random_hypergraph, shared_edge_count)
 
 
 def test_build_degrees():
@@ -79,11 +79,11 @@ def test_random_structure_invariants(trial):
 
     # transpose consistency
     for e in range(g.num_edges):
-        for v in g.edge_to_nodes(e):
-            assert e in g.node_to_edges(v)
+        for v in edge_to_nodes(g, e):
+            assert e in node_to_edges(g, v)
     for v in range(g.num_nodes):
-        for e in g.node_to_edges(v):
-            assert v in g.edge_to_nodes(e)
+        for e in node_to_edges(g, v):
+            assert v in edge_to_nodes(g, e)
 
     # symmetry and the neighbor/shared-count equivalence
     for u in range(n):

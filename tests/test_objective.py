@@ -36,11 +36,16 @@ def make_instance(seed, n_max=10, d=4):
 # -- activation sets ----------------------------------------------------
 
 
+def activated_by(acts, u):
+    """Sorted ids node ``u`` activates alone, read from the sets."""
+    return acts.indices[acts.indptr[u]:acts.indptr[u + 1]]
+
+
 def test_theta_one_empties_everything():
     _, g, _, n, _, ic, _ = make_instance(0)
     acts = build_activation_sets(ic, 1.0)
     for u in range(n):
-        assert acts.members(u).size == 0
+        assert activated_by(acts, u).size == 0
 
 
 def test_theta_zero_keeps_all_positive_entries():
@@ -48,7 +53,7 @@ def test_theta_zero_keeps_all_positive_entries():
     acts = build_activation_sets(ic, 0.0)
     for u in range(n):
         expect = {j for j in range(n) if m_k[j, u] > 1e-15}
-        assert expect <= set(acts.members(u))
+        assert expect <= set(activated_by(acts, u))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -58,15 +63,7 @@ def test_activation_sets_match_bruteforce(seed):
     acts = build_activation_sets(ic, theta)
     for u in range(n):
         expect = oracles.activated_set(m_k, theta, {u})
-        assert set(acts.members(u)) == expect
-
-
-def test_activation_members_out_of_range_rejected():
-    _, g, _, n, ps, ic, _ = make_instance(4)
-    acts = build_activation_sets(ic, 0.05)
-    for u in (-1, n):
-        with pytest.raises(DataError):
-            acts.members(u)
+        assert set(activated_by(acts, u)) == expect
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -77,8 +74,27 @@ def test_sigma_union_identity(seed):
     acts = build_activation_sets(ic, theta)
     seeds = set(rng.choice(n, size=3, replace=False).tolist())
     direct = oracles.activated_set(m_k, theta, seeds)
-    union = np.concatenate([acts.members(u) for u in seeds])
+    union = np.concatenate([activated_by(acts, u) for u in seeds])
     assert set(union.tolist()) == direct
+
+
+def test_activation_memory_follows_output():
+    """Thresholding reads the normalized entries in place: it allocates one
+    boolean mask over them plus the kept entries, never a normalized copy
+    or per-entry column and row ids (0.18x here)."""
+    rng = np.random.default_rng(5)
+    n = 1000
+    g = build(oracles.random_hypergraph(rng, n, 500), num_nodes=n)
+    ic = influence_columns(build_hoi_transition(g), 2, 0.8)
+    theta = float(np.quantile(ic.columns.data, 0.95))
+    tracemalloc.start()
+    try:
+        acts = build_activation_sets(ic, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < acts.indices.size < ic.columns.nnz
+    assert peak < 0.5 * ic.columns.data.nbytes
 
 
 # -- feature balls ------------------------------------------------------
@@ -340,9 +356,12 @@ def test_moi_reduces_to_sigma_when_radius_zero():
     for seed in range(10):
         rng, g, edges, n, m_k, acts, balls, state, oballs, theta, beta = \
             build_state(seed, radius=0.0)
-        for v in rng.permutation(n)[:3]:
+        seeds = rng.permutation(n)[:3]
+        for v in seeds:
             state.add(int(v))
-        assert state.moi_value == int(state.activated.sum())
+        sigma = np.unique(np.concatenate([activated_by(acts, v)
+                                          for v in seeds]))
+        assert state.moi_value == sigma.size
 
 
 # -- unified objective ---------------------------------------------------

@@ -141,8 +141,9 @@ def test_influence_columns_k0_and_alpha0():
     t = build_hoi_transition(g)
     for k, alpha in ((0, 0.8), (4, 0.0)):
         ic = influence_columns(t, k, alpha)
-        np.testing.assert_allclose(ic.columns.toarray(), np.eye(n), atol=1e-12)
-        normalized = ic.columns.toarray() / ic.row_sums[:, None]
+        normalized = ic.columns.toarray()
+        np.testing.assert_allclose(normalized * ic.row_sums[:, None],
+                                   np.eye(n), atol=1e-12)
         np.testing.assert_allclose(normalized, np.eye(n), atol=1e-12)
 
 
@@ -154,7 +155,8 @@ def test_influence_columns_match_dense_recurrence(seed):
     ic = influence_columns(t, k, alpha, batch_size=3)
     m_k = oracles.dense_influence_matrix(t.matrix.toarray(), k, alpha)
     assert ic.columns.shape == (n, n)
-    np.testing.assert_allclose(ic.columns.toarray(), m_k, atol=1e-10)
+    np.testing.assert_allclose(ic.columns.toarray() * ic.row_sums[:, None],
+                               m_k, atol=1e-10)
     np.testing.assert_allclose(ic.row_sums, m_k.sum(axis=1), atol=1e-10)
     np.testing.assert_allclose(row_sum_vector(t, k, alpha),
                                m_k.sum(axis=1), atol=1e-10)
@@ -171,7 +173,7 @@ def test_normalized_influence_matches_finite_differences(seed):
         j = int(rng.integers(n))
         u = int(rng.integers(n))
         fd = oracles.finite_difference_influence(t_dense, x, k, alpha, j, u)
-        expect = ic.columns[j, u]
+        expect = ic.columns[j, u] * ic.row_sums[j]
         np.testing.assert_allclose(fd, np.full(fd.size, expect),
                                    rtol=1e-5, atol=1e-7)
 
@@ -181,8 +183,8 @@ def test_influence_normalization_sums_to_one(seed):
     g, _, n, _, _ = small_instance(seed)
     t = build_hoi_transition(g)
     ic = influence_columns(t, 2, 0.6)
-    full = ic.columns.toarray()
-    normalized = full / ic.row_sums[:, None]
+    normalized = ic.columns.toarray()
+    full = normalized * ic.row_sums[:, None]
     assert np.all((0.0 <= normalized) & (normalized <= 1.0))
     np.testing.assert_allclose(normalized.sum(axis=1), 1.0, rtol=1e-12)
     assert np.all(full >= 0)
