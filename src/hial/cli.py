@@ -216,9 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("HIAL_LOG_LEVEL", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("HIAL_LOG_LEVEL", "WARNING").upper()
+    # a known level name maps to its number, an unknown one to a string
+    # (getLevelNamesMapping would need Python 3.11)
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: unknown HIAL_LOG_LEVEL {level!r}", file=sys.stderr)
+        return EXIT_CONFIG
+    logging.basicConfig(level=level,
+                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -12,10 +12,12 @@ Propagation mixes the smoothed signal with the initial features:
 ``X <- alpha * T X + (1 - alpha) * X0``. Because the recurrence is linear
 and channel-wise, the influence of node u's initial feature on node j's
 k-step feature is a scalar ``M_k[j, u]`` obeying the same recurrence with
-the identity as input. Its columns are built once, in sparse batches,
-normalized by the row sums ``s_j = sum_l M_k[j, l]`` and kept as one sparse
-n x n matrix ``M_k[j, u] / s_j`` next to the row-sum vector; no dense n x n
-matrix is ever formed.
+the identity as input, and the row sums ``s_j = sum_l M_k[j, l]`` obey it
+with the ones vector as input. One helper runs that recurrence for all
+three: the features, the ones vector and the sparse identity. ``M_k`` is
+divided by its row sums in place and kept as one sparse n x n matrix
+``M_k[j, u] / s_j`` next to the row-sum vector; no dense n x n matrix is
+ever formed.
 """
 
 from __future__ import annotations
@@ -140,6 +142,18 @@ def _symmetric_normalize(l: sp.csr_matrix) -> sp.csr_matrix:
     return out
 
 
+def _recurrence(t: TransitionMatrix, x0, k: int, alpha: float):
+    """``x`` after ``k`` steps of ``x <- alpha T x + (1 - alpha) x0``, for a
+    dense array or a sparse matrix ``x0``. Scaling the product in place
+    gives the same bits as ``alpha * (T @ x)`` and holds one copy less."""
+    x = x0
+    for _ in range(k):
+        x = t.matrix @ x
+        x *= alpha
+        x = x + (1.0 - alpha) * x0
+    return x
+
+
 def propagate(t: TransitionMatrix, x0: np.ndarray, k: int,
               alpha: float) -> PropagationState:
     """Apply ``X <- alpha T X + (1 - alpha) X0`` for ``k`` steps."""
@@ -150,57 +164,32 @@ def propagate(t: TransitionMatrix, x0: np.ndarray, k: int,
     if x0.shape[0] != t.num_nodes:
         raise DataError(
             f"feature matrix has {x0.shape[0]} rows, expected {t.num_nodes}")
-    x = x0
-    for _ in range(k):
-        x = alpha * (t.matrix @ x) + (1.0 - alpha) * x0
+    x = _recurrence(t, x0, k, alpha)
     return PropagationState(x0, np.ascontiguousarray(x), k, alpha)
 
 
 def row_sum_vector(t: TransitionMatrix, k: int, alpha: float) -> np.ndarray:
     """Row sums of M_k via the same recurrence applied to the ones vector."""
     _check_alpha_k(alpha, k)
-    ones = np.ones(t.num_nodes, dtype=np.float64)
-    s = ones.copy()
-    for _ in range(k):
-        s = alpha * (t.matrix @ s) + (1.0 - alpha) * ones
-    return s
+    return _recurrence(t, np.ones(t.num_nodes, dtype=np.float64), k, alpha)
 
 
-def _basis_block(n: int, ids: np.ndarray) -> sp.csc_matrix:
-    data = np.ones(ids.size, dtype=np.float64)
-    indptr = np.arange(ids.size + 1)
-    return sp.csc_matrix((data, ids.astype(np.int32), indptr), shape=(n, ids.size))
+def influence_columns(t: TransitionMatrix, k: int,
+                      alpha: float) -> InfluenceColumns:
+    """The row-normalized influence matrix, plus its row sums.
 
-
-def _column_block(t: TransitionMatrix, ids: np.ndarray, k: int, alpha: float,
-                  row_sums: np.ndarray) -> sp.csc_matrix:
-    e = _basis_block(t.num_nodes, ids)
-    v = e
-    for _ in range(k):
-        v = alpha * (t.matrix @ v) + (1.0 - alpha) * e
-    v = v.tocsc()
-    v.eliminate_zeros()
-    v.sort_indices()
-    # a row sum is strictly positive wherever the row has a nonzero entry
-    v.data /= row_sums[v.indices]
-    return v
-
-
-def influence_columns(t: TransitionMatrix, k: int, alpha: float,
-                      batch_size: int = 4096) -> InfluenceColumns:
-    """Every column of the row-normalized influence matrix, plus its row
-    sums.
-
-    Columns are computed in sparse batches (k sparse products per batch)
-    and each batch is divided by the row sums before the batches are
-    stacked; no dense n x n matrix is formed.
+    ``M_k`` is the recurrence run once on the sparse identity (k sparse
+    products), turned into CSC with sorted indices and divided by the row
+    sums in place; no dense n x n matrix is formed.
     """
     _check_alpha_k(alpha, k)
     if t.num_nodes == 0:
         raise DataError("hypergraph has no nodes")
     row_sums = row_sum_vector(t, k, alpha)
-    ids = np.arange(t.num_nodes, dtype=np.int64)
-    blocks = [_column_block(t, ids[i:i + batch_size], k, alpha, row_sums)
-              for i in range(0, ids.size, batch_size)]
-    cols = blocks[0] if len(blocks) == 1 else sp.hstack(blocks, format="csc")
+    cols = _recurrence(t, sp.identity(t.num_nodes, format="csr"), k,
+                       alpha).tocsc()
+    cols.eliminate_zeros()
+    cols.sort_indices()
+    # a row sum is strictly positive wherever the row has a nonzero entry
+    cols.data /= row_sums[cols.indices]
     return InfluenceColumns(cols, row_sums)

@@ -132,7 +132,11 @@ def _resolve_theta(cfg: SelectionConfig, ic: propagation.InfluenceColumns,
     entries in the pool's columns."""
     if cfg.theta != AUTO:
         return float(cfg.theta)
-    norm = ic.columns.data[objective._gather(ic.columns.indptr, pool)[1]]
+    cols = ic.columns
+    in_pool = np.zeros(cols.shape[1], dtype=bool)
+    in_pool[pool] = True
+    # a boolean mask over the entries: no int64 position per entry
+    norm = cols.data[np.repeat(in_pool, np.diff(cols.indptr))]
     if norm.size == 0:
         raise ConfigError("no nonzero influence entries; cannot auto-resolve theta")
     # norm is a copy, so the quantile may partition it in place

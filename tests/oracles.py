@@ -1,7 +1,7 @@
 """Independent brute-force references used only by the test suite.
 
 These deliberately share no code with the production paths: dense matrix
-recurrences instead of sparse column batches, explicit set arithmetic
+recurrences instead of sparse products, explicit set arithmetic
 instead of bitsets, direct definition evaluation instead of incremental
 updates. Size guards keep them honest at test scale only.
 

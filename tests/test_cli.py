@@ -259,6 +259,18 @@ def test_exit_code_config_error(capsys):
     assert code == cli.EXIT_CONFIG
 
 
+def test_exit_code_unknown_log_level(monkeypatch, capsys):
+    monkeypatch.setenv("HIAL_LOG_LEVEL", "foo")
+    code, stdout, err = run(["stats",
+                             "--hyperedges", str(SAMPLE / "toy.hyperedges"),
+                             "--features", str(SAMPLE / "toy.features.csv")],
+                            capsys)
+    assert code == cli.EXIT_CONFIG
+    assert stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "HIAL_LOG_LEVEL" in err
+
+
 def test_exit_code_malformed_features(tmp_path, capsys):
     f = tmp_path / "bad.csv"
     f.write_text("0,abc\n")

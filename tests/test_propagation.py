@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,7 +154,7 @@ def test_influence_columns_match_dense_recurrence(seed):
     g, _, n, _, rng = small_instance(seed)
     t = build_hoi_transition(g)
     k, alpha = int(rng.integers(1, 4)), float(rng.uniform(0.1, 1.0))
-    ic = influence_columns(t, k, alpha, batch_size=3)
+    ic = influence_columns(t, k, alpha)
     m_k = oracles.dense_influence_matrix(t.matrix.toarray(), k, alpha)
     assert ic.columns.shape == (n, n)
     np.testing.assert_allclose(ic.columns.toarray() * ic.row_sums[:, None],
@@ -189,6 +191,25 @@ def test_influence_normalization_sums_to_one(seed):
     np.testing.assert_allclose(normalized.sum(axis=1), 1.0, rtol=1e-12)
     assert np.all(full >= 0)
     assert np.all(ic.row_sums >= (1 - 0.6) - 1e-12)
+
+
+def test_influence_columns_memory_bounded_by_output():
+    """The pass holds a small multiple of the matrix it returns."""
+    rng = np.random.default_rng(3)
+    n = 1000
+    t = build_hoi_transition(build(oracles.random_hypergraph(rng, n, 500),
+                                   num_nodes=n))
+    tracemalloc.start()
+    try:
+        ic = influence_columns(t, 2, 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    c = ic.columns
+    held = (c.data.nbytes + c.indices.nbytes + c.indptr.nbytes
+            + ic.row_sums.nbytes)
+    assert n < c.nnz < n * n  # neither the identity nor dense
+    assert peak < 3 * held
 
 
 def test_influence_columns_rejects_empty_graph():

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hial import (ConfigError, SelectionConfig, build, edv, prepare,
-                  select_lazy, select_naive)
+from hial import (ConfigError, SelectionConfig, build, build_hoi_transition,
+                  edv, influence_columns, prepare, select_lazy, select_naive)
+from hial.selector import _resolve_theta
 from hial.objective import CoverageState
 import oracles
 
@@ -81,6 +83,25 @@ def test_restricted_pool_normalizer_covers_all_nodes(seed):
     norm = (cols / m_k.sum(axis=1)[:, None])[cols > 0]
     assert ctx.config.theta == pytest.approx(
         np.quantile(norm, ctx.config.theta_quantile), rel=1e-9)
+
+
+def test_auto_theta_full_pool_memory_bounded():
+    """θ=auto over every node copies the matrix's entries once and holds
+    no position array beside them."""
+    rng = np.random.default_rng(11)
+    n = 1000
+    g = build(oracles.random_hypergraph(rng, n, 500), num_nodes=n)
+    ic = influence_columns(build_hoi_transition(g), 2, 0.8)
+    cfg = SelectionConfig(budget=1)
+    pool = cfg.resolve_pool(n)
+    tracemalloc.start()
+    try:
+        theta = _resolve_theta(cfg, ic, pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert theta == np.quantile(ic.columns.data, cfg.theta_quantile)
+    assert peak < 1.5 * ic.columns.data.nbytes
 
 
 def test_degenerate_theta_rejected():
