@@ -139,6 +139,8 @@ def _load_features_sparse(path: str | Path) -> dict[str, np.ndarray]:
             entries[ext] = pairs
     if not entries:
         raise DataError(f"{path}: no feature rows")
+    if dim == 0:
+        raise DataError(f"{path}: no feature cells in any row")
     feats = {}
     for ext, pairs in entries.items():
         vec = np.zeros(dim, dtype=np.float64)
@@ -193,8 +195,11 @@ def id_lists(path: str | Path, doc, keys) -> dict[str, list[str]]:
 
 
 def _sorted_ids(ids: set[str]) -> list[str]:
+    """Numeric order when every id parses as an integer, else string order.
+    Ids that parse to the same integer ("1", "01", "+1") are ordered by
+    their strings, so the order never depends on the set's iteration."""
     try:
-        return sorted(ids, key=int)
+        return sorted(ids, key=lambda s: (int(s), s))
     except ValueError:
         return sorted(ids)
 

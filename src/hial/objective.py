@@ -7,9 +7,10 @@ KD-tree pair query, sorted once into the CSR index of :class:`FeatureBalls`.
 The diffusion side scores the expected number of one-hop neighbors
 activated through shared hyperedges. Both are monotone and submodular, so
 the greedy selector keeps an incrementally updated :class:`CoverageState`
-and scores whole batches of candidates without mutation: the coverage gains
-are the row lengths of one boolean sparse product, the diffusion gains one
-sparse mat-vec.
+and scores whole batches of candidates without mutation. The coverage gains
+are popcounts over packed ball bitsets when the balls are dense, and the row
+lengths of one boolean sparse product when they are sparse, whichever takes
+fewer bytes; the diffusion gains are one sparse mat-vec.
 """
 
 from __future__ import annotations
@@ -137,21 +138,37 @@ class CoverageState:
 
     MoI is plain set coverage: seeding ``c`` covers the union of the balls
     of the nodes in ``A_c``. The state keeps ``A``, the activation sets
-    with every activated node mapped to its ball row, and ``U``, a boolean
-    CSR whose row ``r`` is ball row ``r`` minus the ids covered so far
-    (empty for every activated node, whose ball is covered). The MoI gains
-    of a batch of candidates are the row lengths of the boolean product
-    ``A[cands] @ U``: the boolean sum counts an uncovered id once and a
-    covered id never. The product is built in row blocks of at most
-    ``BLOCK_FLOPS`` multiply-adds, which also bounds each block's output.
-    The EDV gains are one mat-vec of the adjacency-count CSR against the
-    evasion probabilities of the non-seed nodes.
+    with every activated node mapped to its ball row (row pointer
+    ``_act_ptr``, row ids ``_act_rows``), and one of two representations
+    of the balls, chosen per instance by their size in bytes:
+
+    * **bitset** (dense balls): every ball row packed into ``⌈n/64⌉``
+      uint64 words, and ``covered`` one word array. A batch's MoI gains
+      are the popcounts of the OR of each candidate's rows, masked by
+      ``~covered``. :meth:`add` ORs the seed's rows into ``covered`` and
+      drops from ``A`` the rows now covered whole.
+    * **CSR** (sparse balls): ``U``, a boolean CSR whose row ``r`` is ball
+      row ``r`` minus the ids covered so far, and ``covered`` a boolean
+      array. A batch's MoI gains are the row lengths of the boolean
+      product ``A[cands] @ U``: the boolean sum counts an uncovered id once
+      and a covered id never. :meth:`add` prunes the covered ids from
+      ``U``.
+
+    The bitset is used when its ``n_rows·⌈n/64⌉·8`` bytes are no more than
+    the ``nnz·5`` bytes (int32 ids, bool data) of the ``U`` it replaces.
+    Both bound their transient memory by design: the bitset is built and
+    its rows gathered in blocks of about ``BLOCK_BYTES``, and the product
+    is built in row blocks of at most ``BLOCK_FLOPS`` multiply-adds, which
+    also bounds each block's output. The EDV gains are one mat-vec of the
+    adjacency-count CSR against the evasion probabilities of the non-seed
+    nodes.
 
     Single-writer; :meth:`gains` is a pure read and may be evaluated for
     any number of candidates against a frozen state.
     """
 
     BLOCK_FLOPS = 1 << 20
+    BLOCK_BYTES = 1 << 20
 
     def __init__(self, g: Hypergraph, acts: ActivationSets,
                  balls: FeatureBalls, beta: float):
@@ -160,19 +177,56 @@ class CoverageState:
         self.beta = beta
         n = g.num_nodes
         n_rows = balls.indptr.size - 1
-        self._acts = sp.csr_matrix(
+        a = sp.csr_matrix(
             (np.ones(acts.indices.size, dtype=bool), balls.row_of[acts.indices],
              acts.indptr.copy()), shape=(n, n_rows))
-        self._acts.sum_duplicates()  # an infinite radius has one shared row
-        self._balls = sp.csr_matrix(
-            (np.ones(balls.indices.size, dtype=bool), balls.indices,
-             balls.indptr), shape=(n_rows, n))
+        a.sum_duplicates()  # an infinite radius has one shared row
+        self._act_ptr, self._act_rows = a.indptr, a.indices
+        words = -(-n // 64)
+        if n_rows * words * 8 <= balls.indices.size * 5:
+            self._bits = self._pack(balls, words)
+            self._balls = None
+            self.covered = np.zeros(words, dtype=np.uint64)
+        else:
+            self._bits = None
+            self._balls = sp.csr_matrix(
+                (np.ones(balls.indices.size, dtype=bool), balls.indices,
+                 balls.indptr), shape=(n_rows, n))
+            self.covered = np.zeros(n, dtype=bool)
         self._adj = g.adjacency()
         self.in_seed = np.zeros(n, dtype=bool)
-        self.covered = np.zeros(n, dtype=bool)
         self.evasion = np.ones(n, dtype=np.float64)
         self.moi_value = 0
         self.edv_value = 0.0
+
+    def _pack(self, balls: FeatureBalls, words: int) -> np.ndarray:
+        """The ball rows as bitsets: bit ``j % 64`` of word ``j // 64`` of
+        row ``r`` is set iff ``j`` is in ball row ``r``. Packed from boolean
+        blocks of about ``BLOCK_BYTES``."""
+        ptr, ids = balls.indptr, balls.indices
+        n_rows = ptr.size - 1
+        bits = np.zeros((n_rows, words), dtype=np.uint64)
+        out = bits.view(np.uint8)
+        step = max(1, self.BLOCK_BYTES // (64 * words))
+        for r0 in range(0, n_rows, step):
+            r1 = min(n_rows, r0 + step)
+            block = np.zeros((r1 - r0, 64 * words), dtype=bool)
+            block[np.repeat(np.arange(r1 - r0), np.diff(ptr[r0:r1 + 1])),
+                  ids[ptr[r0]:ptr[r1]]] = True
+            out[r0:r1] = np.packbits(block, axis=1, bitorder="little")
+        return bits
+
+    def _prune_covered_rows(self) -> None:
+        """Drop from ``A`` every ball row the seed set covers whole: such a
+        row adds nothing to any gain."""
+        bits, free, step = self._bits, ~self.covered, self._block_rows()
+        live = np.concatenate([(bits[s:s + step] & free).any(axis=1)
+                               for s in range(0, bits.shape[0], step)])
+        keep = live[self._act_rows]
+        kept = np.zeros(keep.size + 1, dtype=self._act_ptr.dtype)
+        np.cumsum(keep, out=kept[1:])
+        self._act_ptr = kept[self._act_ptr]
+        self._act_rows = self._act_rows[keep]
 
     # -- pure reads -------------------------------------------------------
 
@@ -181,12 +235,48 @@ class CoverageState:
         ``cands`` alone, without mutating."""
         cands = np.asarray(cands, dtype=np.int64)
         self._check_candidates(cands)
-        return self._coverage_gains(cands), self._diffusion_gains(cands)
+        coverage = (self._product_gains if self._bits is None
+                    else self._bitset_gains)
+        return coverage(cands), self._diffusion_gains(cands)
 
-    def _coverage_gains(self, cands: np.ndarray) -> np.ndarray:
-        a, u = self._acts, self._balls
-        indptr, pos = _gather(a.indptr, cands)
-        rows = a.indices[pos]
+    def _block_rows(self) -> int:
+        """Bitset rows per gathered block."""
+        return max(1, self.BLOCK_BYTES // self._bits[0].nbytes)
+
+    def _union(self, rows: np.ndarray) -> np.ndarray:
+        """OR of the bitset rows ``rows``, gathered in blocks."""
+        step = self._block_rows()
+        union = np.zeros(self._bits.shape[1], dtype=np.uint64)
+        for s in range(0, rows.size, step):
+            union |= np.bitwise_or.reduce(self._bits[rows[s:s + step]], axis=0)
+        return union
+
+    def _bitset_gains(self, cands: np.ndarray) -> np.ndarray:
+        indptr, pos = _gather(self._act_ptr, cands)
+        rows = self._act_rows[pos]
+        free = ~self.covered
+        step = self._block_rows()
+        moi = np.zeros(cands.size, dtype=np.int64)
+        lo = 0
+        while lo < cands.size:  # a candidate over the bound goes alone
+            hi = max(lo + 1, int(np.searchsorted(
+                indptr, indptr[lo] + step, side="right")) - 1)
+            p, q = indptr[lo], indptr[hi]
+            if hi == lo + 1:
+                moi[lo] = np.bitwise_count(self._union(rows[p:q]) & free).sum()
+            else:
+                starts = indptr[lo:hi]
+                some = starts < indptr[lo + 1:hi + 1]  # empty A_c gains 0
+                unions = np.bitwise_or.reduceat(self._bits[rows[p:q]],
+                                                starts[some] - p, axis=0)
+                moi[lo:hi][some] = np.bitwise_count(unions & free).sum(axis=1)
+            lo = hi
+        return moi
+
+    def _product_gains(self, cands: np.ndarray) -> np.ndarray:
+        u = self._balls
+        indptr, pos = _gather(self._act_ptr, cands)
+        rows = self._act_rows[pos]
         # flops[i]: multiply-adds of the product rows of cands[:i]
         flops = np.zeros(rows.size + 1, dtype=np.int64)
         np.cumsum(np.diff(u.indptr)[rows], out=flops[1:])
@@ -222,24 +312,33 @@ class CoverageState:
     # -- mutation ---------------------------------------------------------
 
     def add(self, v: int) -> "CoverageState":
-        """Seed ``v``: extend activation/coverage, prune the covered ids
-        from ``U`` and update evasion products for v's non-seed
-        neighbors."""
+        """Seed ``v``: extend activation/coverage (OR v's ball rows into
+        the covered bitset, or prune the covered ids from ``U``) and update
+        evasion products for v's non-seed neighbors."""
         v = int(v)
         one = np.array([v])
         self._check_candidates(one)
-        a, u = self._acts, self._balls
-        # U holds uncovered ids only, so MoI is the count of covered ids
-        _, pos = _gather(u.indptr, a.indices[a.indptr[v]:a.indptr[v + 1]])
-        self.covered[u.indices[pos]] = True
-        moi = int(np.count_nonzero(self.covered))
-        if moi > self.moi_value:
-            self.moi_value = moi
-            keep = (~self.covered)[u.indices]
-            kept = np.zeros(keep.size + 1, dtype=u.indptr.dtype)
-            np.cumsum(keep, out=kept[1:])
-            self._balls = sp.csr_matrix(
-                (u.data[keep], u.indices[keep], kept[u.indptr]), shape=u.shape)
+        rows = self._act_rows[self._act_ptr[v]:self._act_ptr[v + 1]]
+        if self._bits is not None:
+            self.covered |= self._union(rows)
+            moi = int(np.bitwise_count(self.covered).sum())
+            if moi > self.moi_value:
+                self.moi_value = moi
+                self._prune_covered_rows()
+        else:
+            u = self._balls
+            # U holds uncovered ids only, so MoI is the count of covered ids
+            _, pos = _gather(u.indptr, rows)
+            self.covered[u.indices[pos]] = True
+            moi = int(np.count_nonzero(self.covered))
+            if moi > self.moi_value:
+                self.moi_value = moi
+                keep = (~self.covered)[u.indices]
+                kept = np.zeros(keep.size + 1, dtype=u.indptr.dtype)
+                np.cumsum(keep, out=kept[1:])
+                self._balls = sp.csr_matrix(
+                    (u.data[keep], u.indices[keep], kept[u.indptr]),
+                    shape=u.shape)
 
         self.edv_value += float(self._diffusion_gains(one)[0])
         adj_ptr, adj_ids, adj_counts = self._adj

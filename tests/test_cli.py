@@ -280,6 +280,17 @@ def test_exit_code_malformed_features(tmp_path, capsys):
     assert code == cli.EXIT_DATA
 
 
+def test_exit_code_sparse_features_without_cells(tmp_path, capsys):
+    f = tmp_path / "empty.csv"
+    f.write_text("0,\n1,\n")
+    code, _, err = run(["select",
+                        "--hyperedges", str(SAMPLE / "toy.hyperedges"),
+                        "--features", str(f), "--sparse-features",
+                        "--budget", "1"], capsys)
+    assert code == cli.EXIT_DATA
+    assert "no feature cells" in err
+
+
 def test_exit_code_non_finite_feature(tmp_path, capsys):
     # the toy features with one cell replaced by nan
     rows = (SAMPLE / "toy.features.csv").read_text().splitlines()

@@ -84,6 +84,12 @@ def test_load_features_sparse_bad_cell(tmp_path):
         dataio.load_features(p, sparse=True)
 
 
+def test_load_features_sparse_no_cells_rejected(tmp_path):
+    p = write(tmp_path, "f.csv", "0,\n1,\n")
+    with pytest.raises(DataError, match="no feature cells"):
+        dataio.load_features(p, sparse=True)
+
+
 # -- dataset assembly ----------------------------------------------------
 
 
@@ -101,6 +107,14 @@ def test_load_dataset_numeric_id_order(tmp_path):
     assert ds.ids == ["1", "2", "10"]  # numeric, not lexicographic
     assert ds.id_map == {"1": 0, "2": 1, "10": 2}
     np.testing.assert_array_equal(ds.features[:, 0], [3.0, 2.0, 1.0])
+
+
+def test_sorted_ids_break_integer_ties_by_string():
+    ids = ["1", "01", "+1", "10", "1_0", "2"]
+    expect = ["+1", "01", "1", "2", "10", "1_0"]
+    rng = np.random.default_rng(0)
+    for _ in range(20):  # sorted() is stable: a tie would keep input order
+        assert dataio._sorted_ids(rng.permutation(ids).tolist()) == expect
 
 
 def test_load_dataset_string_ids(tmp_path):

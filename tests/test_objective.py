@@ -326,11 +326,17 @@ def test_gain_queries_match_add(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_batched_gains_match_oracle(seed, radius, block_flops, monkeypatch):
     """Every non-seed candidate's batched gains equal the oracle
-    differences after each add, however the product is split into blocks,
-    and a permuted batch gives the permuted gains."""
+    differences after each add, however the product or the bitset gather is
+    split into blocks, and a permuted batch gives the permuted gains.
+    Radius 0 takes the CSR product and the wider radii the bitset, so both
+    coverage representations are checked."""
+    if block_flops < CoverageState.BLOCK_FLOPS:
+        # the bitset gather shrinks alongside: 1 or 8 one-word rows a block
+        monkeypatch.setattr(CoverageState, "BLOCK_BYTES", 8 * block_flops)
     monkeypatch.setattr(CoverageState, "BLOCK_FLOPS", block_flops)
     rng, g, edges, n, m_k, acts, balls, state, oballs, theta, beta = \
         build_state(seed, radius=radius, beta=0.5)
+    assert (state._bits is None) == (radius == 0.0)
     chosen = []
     for _ in range(min(4, n - 1)):
         cands = np.flatnonzero(~state.in_seed)

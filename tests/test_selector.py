@@ -8,7 +8,6 @@ import pytest
 from hial import (ConfigError, SelectionConfig, build, build_hoi_transition,
                   edv, influence_columns, prepare, select_lazy, select_naive)
 from hial.selector import _resolve_theta
-from hial.objective import CoverageState
 import oracles
 
 
@@ -216,9 +215,9 @@ def test_greedy_guarantee_on_exhaustive_instances(seed):
 
 def test_default_config_scale_lazy_equals_naive():
     """The criterion-8 generator at n=5000 under the default radius=auto:
-    balls hold about 5% of n, so the pool's first batch spans several
-    product blocks. Lazy and naive agree exactly, with fewer evaluations
-    for lazy."""
+    balls hold about 5% of n, so coverage takes the bitset path and the
+    pool's first batch spans several gather blocks. Lazy and naive agree
+    exactly, with fewer evaluations for lazy."""
     rng = np.random.default_rng(0)
     n, m = 5000, 2500
     sizes = rng.poisson(4, m) + 1  # mean edge size 5
@@ -228,8 +227,9 @@ def test_default_config_scale_lazy_equals_naive():
     centers = rng.normal(size=(4, 8)) * 3
     x = centers[rng.integers(0, 4, n)] + rng.normal(size=(n, 8))
     ctx = prepare(g, x, SelectionConfig(budget=10))
-    flops = np.diff(ctx.balls.indptr)[ctx.acts.indices].sum()
-    assert flops > 2 * CoverageState.BLOCK_FLOPS
+    state = ctx.fresh_state()
+    assert state._bits is not None
+    assert state._act_rows.size > 2 * state._block_rows()
     naive = select_naive(ctx)
     lazy = select_lazy(ctx)
     assert lazy.seeds == naive.seeds
