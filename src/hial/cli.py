@@ -28,13 +28,9 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_CONFIG = 4
 
-log = logging.getLogger("hial")
-
-
-def _add_dataset_args(p: argparse.ArgumentParser, features_required: bool) -> None:
+def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hyperedges", required=True, help="hyperedge list file")
-    p.add_argument("--features", required=features_required,
-                   help="node feature CSV")
+    p.add_argument("--features", required=True, help="node feature CSV")
     p.add_argument("--labels", help="node label CSV")
     p.add_argument("--splits", help="train/test split JSON")
     p.add_argument("--sparse-features", action="store_true",
@@ -82,12 +78,9 @@ def _build_config(args, ds: dataio.Dataset) -> selector.SelectionConfig:
         candidate_pool=pool, rng_seed=args.seed)
 
 
-def _load(args, features_required: bool = True) -> dataio.Dataset:
-    ds = dataio.load_dataset(args.hyperedges, args.features, args.labels,
-                             args.splits, sparse_features=args.sparse_features)
-    if features_required and ds.features is None:
-        raise DataError("this command requires --features")
-    return ds
+def _load(args) -> dataio.Dataset:
+    return dataio.load_dataset(args.hyperedges, args.features, args.labels,
+                               args.splits, sparse_features=args.sparse_features)
 
 
 def cmd_select(args) -> int:
@@ -189,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sel = sub.add_parser("select", help="greedy seed selection")
-    _add_dataset_args(p_sel, features_required=True)
+    _add_dataset_args(p_sel)
     _add_config_args(p_sel)
     p_sel.add_argument("--naive", action="store_true",
                        help="use the reference (non-lazy) greedy path")
@@ -197,13 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.set_defaults(func=cmd_select)
 
     p_stats = sub.add_parser("stats", help="dataset and parameter report")
-    _add_dataset_args(p_stats, features_required=True)
+    _add_dataset_args(p_stats)
     _add_config_args(p_stats)
     p_stats.set_defaults(func=cmd_stats)
 
     p_eval = sub.add_parser("evaluate",
                             help="label-propagation proxy accuracy")
-    _add_dataset_args(p_eval, features_required=True)
+    _add_dataset_args(p_eval)
     p_eval.add_argument("--seeds", required=True,
                         help="result document from 'select'")
     p_eval.add_argument("--k", type=int, default=2)
@@ -232,15 +225,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except DataError as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ConfigError as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HialError as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except OSError as exc:  # a file that cannot be opened, e.g. a directory

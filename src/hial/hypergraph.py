@@ -25,7 +25,7 @@ class Hypergraph:
     read-only and safe to call concurrently.
     """
 
-    def __init__(self, incidence: sp.csr_matrix, edge_weights: np.ndarray):
+    def __init__(self, incidence: sp.csr_matrix):
         # incidence: n x m binary CSR, rows = nodes, cols = hyperedges
         self._h = incidence
         self._ht = incidence.T.tocsr()
@@ -33,7 +33,6 @@ class Hypergraph:
         self.num_edges = incidence.shape[1]
         self.node_degree = np.diff(self._h.indptr).astype(np.int64)
         self.edge_degree = np.diff(self._ht.indptr).astype(np.int64)
-        self.edge_weights = edge_weights
         self._adj = None
 
     # -- incidence access ------------------------------------------------
@@ -66,14 +65,12 @@ class Hypergraph:
 
 
 def build(edge_node_lists: Sequence[Sequence[int]],
-          num_nodes: int | None = None,
-          edge_weights: Sequence[float] | None = None) -> Hypergraph:
+          num_nodes: int | None = None) -> Hypergraph:
     """Build a hypergraph from per-hyperedge node-id lists.
 
     Duplicate ids within one hyperedge are deduplicated. An edge that is
     empty (after dedup) is rejected, as is any out-of-range node id.
-    ``num_nodes`` defaults to ``max id + 1``. ``edge_weights`` are used
-    only by the HGNN-style propagation backend and default to 1.
+    ``num_nodes`` defaults to ``max id + 1``.
     """
     m = len(edge_node_lists)
     dedup = []
@@ -97,13 +94,4 @@ def build(edge_node_lists: Sequence[Sequence[int]],
     data = np.ones(rows.size, dtype=np.float64)
     h = sp.csr_matrix((data, (rows, cols)), shape=(n, m))
     h.sort_indices()
-
-    if edge_weights is None:
-        w = np.ones(m, dtype=np.float64)
-    else:
-        w = np.asarray(edge_weights, dtype=np.float64)
-        if w.shape != (m,):
-            raise DataError(f"expected {m} edge weights, got shape {w.shape}")
-        if np.any(w < 0):
-            raise DataError("edge weights must be non-negative")
-    return Hypergraph(h, w)
+    return Hypergraph(h)

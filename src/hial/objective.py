@@ -7,10 +7,12 @@ KD-tree pair query, sorted once into the CSR index of :class:`FeatureBalls`.
 The diffusion side scores the expected number of one-hop neighbors
 activated through shared hyperedges. Both are monotone and submodular, so
 the greedy selector keeps an incrementally updated :class:`CoverageState`
-and scores whole batches of candidates without mutation. The coverage gains
-are popcounts over packed ball bitsets when the balls are dense, and the row
-lengths of one boolean sparse product when they are sparse, whichever takes
-fewer bytes; the diffusion gains are one sparse mat-vec.
+and scores whole batches of candidates without mutation. Adding a seed only
+marks ids covered; the activation sets and the balls stay fixed. The
+coverage gains are popcounts over packed ball bitsets when the balls are
+dense, and the uncovered entries of one boolean sparse product when they
+are sparse, whichever takes fewer bytes; the diffusion gains are one sparse
+mat-vec.
 """
 
 from __future__ import annotations
@@ -139,20 +141,20 @@ class CoverageState:
     MoI is plain set coverage: seeding ``c`` covers the union of the balls
     of the nodes in ``A_c``. The state keeps ``A``, the activation sets
     with every activated node mapped to its ball row (row pointer
-    ``_act_ptr``, row ids ``_act_rows``), and one of two representations
-    of the balls, chosen per instance by their size in bytes:
+    ``_act_ptr``, row ids ``_act_rows``), one of two representations of
+    the balls, chosen per instance by their size in bytes, and
+    ``covered``, the ids the seed set covers. ``A`` and the balls are
+    never written after construction; :meth:`add` only marks the seed's
+    ball rows in ``covered``, and MoI is the count of covered ids.
 
     * **bitset** (dense balls): every ball row packed into ``⌈n/64⌉``
       uint64 words, and ``covered`` one word array. A batch's MoI gains
       are the popcounts of the OR of each candidate's rows, masked by
-      ``~covered``. :meth:`add` ORs the seed's rows into ``covered`` and
-      drops from ``A`` the rows now covered whole.
+      ``~covered``.
     * **CSR** (sparse balls): ``U``, a boolean CSR whose row ``r`` is ball
-      row ``r`` minus the ids covered so far, and ``covered`` a boolean
-      array. A batch's MoI gains are the row lengths of the boolean
-      product ``A[cands] @ U``: the boolean sum counts an uncovered id once
-      and a covered id never. :meth:`add` prunes the covered ids from
-      ``U``.
+      row ``r``, and ``covered`` a boolean array. A batch's MoI gains
+      count the entries of the boolean product ``A[cands] @ U`` whose ids
+      are not covered: the boolean sum lists each id of a row once.
 
     The bitset is used when its ``n_rows·⌈n/64⌉·8`` bytes are no more than
     the ``nnz·5`` bytes (int32 ids, bool data) of the ``U`` it replaces.
@@ -216,18 +218,6 @@ class CoverageState:
             out[r0:r1] = np.packbits(block, axis=1, bitorder="little")
         return bits
 
-    def _prune_covered_rows(self) -> None:
-        """Drop from ``A`` every ball row the seed set covers whole: such a
-        row adds nothing to any gain."""
-        bits, free, step = self._bits, ~self.covered, self._block_rows()
-        live = np.concatenate([(bits[s:s + step] & free).any(axis=1)
-                               for s in range(0, bits.shape[0], step)])
-        keep = live[self._act_rows]
-        kept = np.zeros(keep.size + 1, dtype=self._act_ptr.dtype)
-        np.cumsum(keep, out=kept[1:])
-        self._act_ptr = kept[self._act_ptr]
-        self._act_rows = self._act_rows[keep]
-
     # -- pure reads -------------------------------------------------------
 
     def gains(self, cands) -> tuple[np.ndarray, np.ndarray]:
@@ -281,6 +271,7 @@ class CoverageState:
         flops = np.zeros(rows.size + 1, dtype=np.int64)
         np.cumsum(np.diff(u.indptr)[rows], out=flops[1:])
         flops = flops[indptr]
+        free = ~self.covered
         moi = np.empty(cands.size, dtype=np.int64)
         lo = 0
         while lo < cands.size:  # a candidate over budget gets its own block
@@ -290,7 +281,10 @@ class CoverageState:
             block = sp.csr_matrix(
                 (np.ones(q - p, dtype=bool), rows[p:q], indptr[lo:hi + 1] - p),
                 shape=(hi - lo, u.shape[0]))
-            moi[lo:hi] = np.diff((block @ u).indptr)
+            c = block @ u  # the boolean sum lists each id of a row once
+            hits = np.zeros(c.indices.size + 1, dtype=np.int64)
+            np.cumsum(free[c.indices], out=hits[1:])
+            moi[lo:hi] = np.diff(hits[c.indptr])
             lo = hi
         return moi
 
@@ -312,8 +306,7 @@ class CoverageState:
     # -- mutation ---------------------------------------------------------
 
     def add(self, v: int) -> "CoverageState":
-        """Seed ``v``: extend activation/coverage (OR v's ball rows into
-        the covered bitset, or prune the covered ids from ``U``) and update
+        """Seed ``v``: mark the ids of v's ball rows covered and update
         evasion products for v's non-seed neighbors."""
         v = int(v)
         one = np.array([v])
@@ -321,24 +314,12 @@ class CoverageState:
         rows = self._act_rows[self._act_ptr[v]:self._act_ptr[v + 1]]
         if self._bits is not None:
             self.covered |= self._union(rows)
-            moi = int(np.bitwise_count(self.covered).sum())
-            if moi > self.moi_value:
-                self.moi_value = moi
-                self._prune_covered_rows()
+            self.moi_value = int(np.bitwise_count(self.covered).sum())
         else:
             u = self._balls
-            # U holds uncovered ids only, so MoI is the count of covered ids
             _, pos = _gather(u.indptr, rows)
             self.covered[u.indices[pos]] = True
-            moi = int(np.count_nonzero(self.covered))
-            if moi > self.moi_value:
-                self.moi_value = moi
-                keep = (~self.covered)[u.indices]
-                kept = np.zeros(keep.size + 1, dtype=u.indptr.dtype)
-                np.cumsum(keep, out=kept[1:])
-                self._balls = sp.csr_matrix(
-                    (u.data[keep], u.indices[keep], kept[u.indptr]),
-                    shape=u.shape)
+            self.moi_value = int(np.count_nonzero(self.covered))
 
         self.edv_value += float(self._diffusion_gains(one)[0])
         adj_ptr, adj_ids, adj_counts = self._adj

@@ -101,20 +101,14 @@ def build_hoi_transition(g: Hypergraph) -> TransitionMatrix:
     return TransitionMatrix(_symmetric_normalize(raw), HOI)
 
 
-def build_hgnn_transition(g: Hypergraph,
-                          edge_weights: np.ndarray | None = None) -> TransitionMatrix:
+def build_hgnn_transition(g: Hypergraph) -> TransitionMatrix:
     """Degree-normalized two-stage transition
-    ``Dv^-1/2 H W De^-1 H^T Dv^-1/2`` (zero rows for isolated nodes)."""
-    w = g.edge_weights if edge_weights is None else np.asarray(edge_weights, float)
-    if w.shape != (g.num_edges,):
-        raise DataError(f"expected {g.num_edges} edge weights, got {w.shape}")
-    if np.any(w < 0):
-        raise DataError("edge weights must be non-negative")
+    ``Dv^-1/2 H De^-1 H^T Dv^-1/2`` (zero rows for isolated nodes)."""
     h = g.incidence
     dv = _inv_sqrt(g.node_degree.astype(np.float64))
     de = g.edge_degree.astype(np.float64)
     de_inv = np.divide(1.0, de, out=np.zeros_like(de), where=de > 0)
-    t = (sp.diags(dv) @ h @ sp.diags(w * de_inv) @ h.T @ sp.diags(dv)).tocsr()
+    t = (sp.diags(dv) @ h @ sp.diags(de_inv) @ h.T @ sp.diags(dv)).tocsr()
     t.eliminate_zeros()
     return TransitionMatrix(t, HGNN)
 

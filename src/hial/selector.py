@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 AUTO = "auto"
+# radius=auto is this quantile of sampled pairwise feature distances
+RADIUS_QUANTILE = 0.05
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,6 @@ class SelectionConfig:
     backend: str = propagation.HOI
     candidate_pool: tuple[int, ...] | None = None
     theta_quantile: float = 0.95
-    radius_quantile: float = 0.05
     rng_seed: int = 0
 
     def validate(self, num_nodes: int) -> None:
@@ -76,10 +77,9 @@ class SelectionConfig:
                 raise ConfigError(f"{name} must be a number or 'auto', got {val!r}")
             if not isinstance(val, str) and not val >= 0:  # rejects nan
                 raise ConfigError(f"{name} must be >= 0, got {val}")
-        for name, q in (("theta_quantile", self.theta_quantile),
-                        ("radius_quantile", self.radius_quantile)):
-            if not 0.0 < q < 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1), got {q}")
+        if not 0.0 < self.theta_quantile < 1.0:
+            raise ConfigError(
+                f"theta_quantile must lie in (0, 1), got {self.theta_quantile}")
         if self.rng_seed < 0:
             raise ConfigError(f"rng seed must be >= 0, got {self.rng_seed}")
 
@@ -155,7 +155,7 @@ def _resolve_radius(cfg: SelectionConfig, feats: np.ndarray) -> float:
     j = rng.integers(0, n - 1, size=n_pairs)
     j = np.where(j >= i, j + 1, j)  # distinct pair without rejection
     dist = np.linalg.norm(feats[i] - feats[j], axis=1)
-    return float(np.quantile(dist, cfg.radius_quantile))
+    return float(np.quantile(dist, RADIUS_QUANTILE))
 
 
 def normalizers(g: Hypergraph, sigma_all: np.ndarray,

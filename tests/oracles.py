@@ -35,19 +35,18 @@ def dense_transition_hoi(edge_lists, n):
     return s[:, None] * l * s[None, :]
 
 
-def dense_transition_hgnn(edge_lists, n, weights=None):
+def dense_transition_hgnn(edge_lists, n):
     """Dense evaluation of the degree-normalized incidence product."""
     m = len(edge_lists)
     h = np.zeros((n, m))
     for e, edge in enumerate(edge_lists):
         for v in set(edge):
             h[v, e] = 1.0
-    w = np.ones(m) if weights is None else np.asarray(weights, float)
     dv = h.sum(axis=1)
     de = h.sum(axis=0)
     dv_is = np.where(dv > 0, dv, 1.0) ** -0.5 * (dv > 0)
     de_inv = np.where(de > 0, 1.0 / np.where(de > 0, de, 1.0), 0.0)
-    return (dv_is[:, None] * h) @ np.diag(w * de_inv) @ (h.T * dv_is[None, :])
+    return (dv_is[:, None] * h) @ np.diag(de_inv) @ (h.T * dv_is[None, :])
 
 
 def dense_influence_matrix(t_dense, k, alpha):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +9,8 @@ import pytest
 
 from hial import SelectionConfig, cli, dataio, prepare
 
-SAMPLE = Path(__file__).resolve().parent.parent / "sample_data"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE = ROOT / "sample_data"
 
 
 def run(argv, capsys):
@@ -257,6 +261,23 @@ def test_exit_code_config_error(capsys):
     assert code == cli.EXIT_CONFIG
     code, _, err = run(toy_args(["--gamma", "3.0"]), capsys)
     assert code == cli.EXIT_CONFIG
+
+
+def test_error_printed_once():
+    """A failing command writes its error to stderr once. Run in a child
+    process: the log handler writes to the real stderr, which capsys does
+    not see."""
+    env = dict(os.environ)
+    env.pop("HIAL_LOG_LEVEL", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-m", "hial.cli",
+                           *toy_args(["--budget", "0"])],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 def test_exit_code_unknown_log_level(monkeypatch, capsys):

@@ -356,6 +356,15 @@ def test_batched_gains_match_oracle(seed, radius, block_flops, monkeypatch):
         v = int(rng.choice(cands))
         chosen.append(v)
         state.add(v)
+    # add marks ids covered and writes neither A nor the balls
+    fresh = CoverageState(g, acts, balls, beta)
+    assert state._act_ptr.tolist() == fresh._act_ptr.tolist()
+    assert state._act_rows.tolist() == fresh._act_rows.tolist()
+    if state._bits is not None:
+        assert np.array_equal(state._bits, fresh._bits)
+    else:
+        assert state._balls.indptr.tolist() == fresh._balls.indptr.tolist()
+        assert state._balls.indices.tolist() == fresh._balls.indices.tolist()
 
 
 def test_moi_reduces_to_sigma_when_radius_zero():
