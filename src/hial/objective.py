@@ -2,17 +2,16 @@
 
 The coverage side activates every node whose normalized influence from the
 seed set strictly exceeds a threshold, then counts the union of
-feature-space balls around the activated nodes; all balls come from one
-KD-tree pair query, sorted once into the CSR index of :class:`FeatureBalls`.
-The diffusion side scores the expected number of one-hop neighbors
-activated through shared hyperedges. Both are monotone and submodular, so
-the greedy selector keeps an incrementally updated :class:`CoverageState`
-and scores whole batches of candidates without mutation. Adding a seed only
-marks ids covered; the activation sets and the balls stay fixed. The
-coverage gains are popcounts over packed ball bitsets when the balls are
-dense, and the uncovered entries of one boolean sparse product when they
-are sparse, whichever takes fewer bytes; the diffusion gains are one sparse
-mat-vec.
+feature-space balls around the activated nodes. :class:`FeatureBalls`
+builds every ball once, from one KD-tree pair query, together with their
+coverage form: packed bitsets when the balls are dense, a boolean CSR for
+one sparse product when they are sparse, whichever takes fewer bytes. The
+diffusion side scores the expected number of one-hop neighbors activated
+through shared hyperedges. Both are monotone and submodular, so the greedy
+selector keeps an incrementally updated :class:`CoverageState` and scores
+whole batches of candidates without mutation. Adding a seed only marks ids
+in the state's own covered set; the activation sets and the balls, shared
+by every state, stay fixed. The diffusion gains are one sparse mat-vec.
 """
 
 from __future__ import annotations
@@ -78,27 +77,54 @@ class FeatureBalls:
     pair query whatever the dimension, so the transient memory is
     proportional to the output. An infinite radius stores the single row
     ``0..n-1`` that every node maps to, so it stays O(n).
+
+    The class alone reads the rows' coverage form, built once here and
+    read only through :meth:`empty`, :meth:`cover` and :meth:`uncovered`,
+    so every :class:`CoverageState` shares it with its own covered set:
+
+    * **bitset** when its ``n_rows·⌈n/64⌉·8`` bytes are no more than the
+      ``nnz·5`` bytes (int32 ids, bool data) of the CSR: each row packed
+      into ``⌈n/64⌉`` uint64 words, a covered set one word array, and an
+      uncovered count the popcount of the OR of the rows and ``~covered``;
+    * **CSR** otherwise: a boolean CSR of the rows, a covered set one
+      boolean array, and the unions of a batch the rows of one boolean
+      product with it (the boolean sum lists each id once).
+
+    Both bound their transient memory by design: the bitset is packed and
+    gathered in blocks of about ``BLOCK_BYTES``, and the product is built
+    in row blocks of at most ``BLOCK_FLOPS`` multiply-adds.
     """
+
+    BLOCK_FLOPS = 1 << 20
+    BLOCK_BYTES = 1 << 20
 
     def __init__(self, points: np.ndarray, radius: float):
         if not radius >= 0:
             raise ConfigError(f"ball radius must be >= 0, got {radius}")
-        self.points = np.ascontiguousarray(points, dtype=np.float64)
+        points = np.ascontiguousarray(points, dtype=np.float64)
         self.radius = float(radius)
-        n = self.num_nodes = self.points.shape[0]
+        n = self.num_nodes = points.shape[0]
         if math.isfinite(self.radius):
-            self.indptr, self.indices = self._build_index()
+            self.indptr, self.indices = self._build_index(points)
             self.row_of = np.arange(n, dtype=np.int64)
         else:
             self.indptr = np.array([0, n], dtype=np.int64)
             self.indices = np.arange(n, dtype=np.int32)
             self.row_of = np.zeros(n, dtype=np.int64)
+        n_rows = self.indptr.size - 1
+        words = -(-n // 64)
+        self._bits = self._csr = None
+        if n_rows * words * 8 <= self.indices.size * 5:
+            self._bits = self._pack(words)
+        else:
+            self._csr = sp.csr_matrix(
+                (np.ones(self.indices.size, dtype=bool), self.indices,
+                 self.indptr), shape=(n_rows, n))
 
-    def _build_index(self) -> tuple[np.ndarray, np.ndarray]:
+    def _build_index(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """CSR row pointer and concatenated sorted rows of every ball."""
         n = self.num_nodes
-        pairs = cKDTree(self.points).query_pairs(self.radius,
-                                                 output_type="ndarray")
+        pairs = cKDTree(points).query_pairs(self.radius, output_type="ndarray")
         # key u*n + v for v in ball(u): both orders of every pair and each
         # node's own id; sorted, the keys list every row's ids in order
         m = pairs.shape[0]
@@ -115,18 +141,107 @@ class FeatureBalls:
         np.remainder(keys, n, out=keys)
         return indptr, keys.astype(np.int32)
 
-    def union_size(self, nodes: np.ndarray) -> int:
-        """Number of distinct nodes in the balls of the nodes marked in the
-        boolean mask ``nodes``."""
-        rows = np.zeros(self.indptr.size - 1, dtype=bool)
-        rows[self.row_of[nodes]] = True
-        covered = np.zeros(self.num_nodes, dtype=bool)
-        covered[self.indices[np.repeat(rows, np.diff(self.indptr))]] = True
-        return int(np.count_nonzero(covered))
+    def _pack(self, words: int) -> np.ndarray:
+        """The rows as bitsets: bit ``j % 64`` of word ``j // 64`` of row
+        ``r`` is set iff ``j`` is in row ``r``. Packed from boolean blocks
+        of about ``BLOCK_BYTES``."""
+        ptr, ids = self.indptr, self.indices
+        n_rows = ptr.size - 1
+        bits = np.zeros((n_rows, words), dtype=np.uint64)
+        out = bits.view(np.uint8)
+        step = max(1, self.BLOCK_BYTES // (64 * words))
+        for r0 in range(0, n_rows, step):
+            r1 = min(n_rows, r0 + step)
+            block = np.zeros((r1 - r0, 64 * words), dtype=bool)
+            block[np.repeat(np.arange(r1 - r0), np.diff(ptr[r0:r1 + 1])),
+                  ids[ptr[r0]:ptr[r1]]] = True
+            out[r0:r1] = np.packbits(block, axis=1, bitorder="little")
+        return bits
+
+    # -- coverage ---------------------------------------------------------
+
+    def empty(self) -> np.ndarray:
+        """A covered set holding no id."""
+        if self._bits is None:
+            return np.zeros(self.num_nodes, dtype=bool)
+        return np.zeros(self._bits.shape[1], dtype=np.uint64)
+
+    def cover(self, covered: np.ndarray, rows: np.ndarray) -> int:
+        """Mark the ids of the rows ``rows`` in ``covered``; return the
+        number of covered ids."""
+        if self._bits is None:
+            _, pos = _gather(self.indptr, rows)
+            covered[self.indices[pos]] = True
+            return int(np.count_nonzero(covered))
+        covered |= self._union(rows)
+        return int(np.bitwise_count(covered).sum())
+
+    def uncovered(self, covered: np.ndarray, indptr: np.ndarray,
+                  rows: np.ndarray) -> np.ndarray:
+        """int64 count of the ids not in ``covered`` in the union of each
+        group of rows; group ``i`` is ``rows[indptr[i]:indptr[i + 1]]``."""
+        if self._bits is None:
+            return self._product_gains(~covered, indptr, rows)
+        return self._bitset_gains(~covered, indptr, rows)
+
+    def _block_rows(self) -> int:
+        """Bitset rows per gathered block."""
+        return max(1, self.BLOCK_BYTES // self._bits[0].nbytes)
+
+    def _union(self, rows: np.ndarray) -> np.ndarray:
+        """OR of the bitset rows ``rows``, gathered in blocks."""
+        step = self._block_rows()
+        union = np.zeros(self._bits.shape[1], dtype=np.uint64)
+        for s in range(0, rows.size, step):
+            union |= np.bitwise_or.reduce(self._bits[rows[s:s + step]], axis=0)
+        return union
+
+    def _bitset_gains(self, free: np.ndarray, indptr: np.ndarray,
+                      rows: np.ndarray) -> np.ndarray:
+        step = self._block_rows()
+        moi = np.zeros(indptr.size - 1, dtype=np.int64)
+        lo = 0
+        while lo < moi.size:  # a group over the bound goes alone
+            hi = max(lo + 1, int(np.searchsorted(
+                indptr, indptr[lo] + step, side="right")) - 1)
+            p, q = indptr[lo], indptr[hi]
+            if hi == lo + 1:
+                moi[lo] = np.bitwise_count(self._union(rows[p:q]) & free).sum()
+            else:
+                starts = indptr[lo:hi]
+                some = starts < indptr[lo + 1:hi + 1]  # an empty group gains 0
+                unions = np.bitwise_or.reduceat(self._bits[rows[p:q]],
+                                                starts[some] - p, axis=0)
+                moi[lo:hi][some] = np.bitwise_count(unions & free).sum(axis=1)
+            lo = hi
+        return moi
+
+    def _product_gains(self, free: np.ndarray, indptr: np.ndarray,
+                       rows: np.ndarray) -> np.ndarray:
+        u = self._csr
+        # flops[i]: multiply-adds of the product rows of the first i groups
+        flops = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(np.diff(u.indptr)[rows], out=flops[1:])
+        flops = flops[indptr]
+        moi = np.empty(indptr.size - 1, dtype=np.int64)
+        lo = 0
+        while lo < moi.size:  # a group over budget gets its own block
+            hi = max(lo + 1, int(np.searchsorted(
+                flops, flops[lo] + self.BLOCK_FLOPS, side="right")) - 1)
+            p, q = indptr[lo], indptr[hi]
+            block = sp.csr_matrix(
+                (np.ones(q - p, dtype=bool), rows[p:q], indptr[lo:hi + 1] - p),
+                shape=(hi - lo, u.shape[0]))
+            c = block @ u  # the boolean sum lists each id of a row once
+            hits = np.zeros(c.indices.size + 1, dtype=np.int64)
+            np.cumsum(free[c.indices], out=hits[1:])
+            moi[lo:hi] = np.diff(hits[c.indptr])
+            lo = hi
+        return moi
 
 
 def build_feature_balls(ps: PropagationState, radius: float) -> FeatureBalls:
-    """Ball index over the k-step propagated features."""
+    """Ball index and coverage form over the k-step propagated features."""
     return FeatureBalls(ps.propagated_features, radius)
 
 
@@ -141,82 +256,35 @@ class CoverageState:
     MoI is plain set coverage: seeding ``c`` covers the union of the balls
     of the nodes in ``A_c``. The state keeps ``A``, the activation sets
     with every activated node mapped to its ball row (row pointer
-    ``_act_ptr``, row ids ``_act_rows``), one of two representations of
-    the balls, chosen per instance by their size in bytes, and
-    ``covered``, the ids the seed set covers. ``A`` and the balls are
-    never written after construction; :meth:`add` only marks the seed's
-    ball rows in ``covered``, and MoI is the count of covered ids.
-
-    * **bitset** (dense balls): every ball row packed into ``⌈n/64⌉``
-      uint64 words, and ``covered`` one word array. A batch's MoI gains
-      are the popcounts of the OR of each candidate's rows, masked by
-      ``~covered``.
-    * **CSR** (sparse balls): ``U``, a boolean CSR whose row ``r`` is ball
-      row ``r``, and ``covered`` a boolean array. A batch's MoI gains
-      count the entries of the boolean product ``A[cands] @ U`` whose ids
-      are not covered: the boolean sum lists each id of a row once.
-
-    The bitset is used when its ``n_rows·⌈n/64⌉·8`` bytes are no more than
-    the ``nnz·5`` bytes (int32 ids, bool data) of the ``U`` it replaces.
-    Both bound their transient memory by design: the bitset is built and
-    its rows gathered in blocks of about ``BLOCK_BYTES``, and the product
-    is built in row blocks of at most ``BLOCK_FLOPS`` multiply-adds, which
-    also bounds each block's output. The EDV gains are one mat-vec of the
-    adjacency-count CSR against the evasion probabilities of the non-seed
-    nodes.
+    ``_act_ptr``, row ids ``_act_rows``), and ``covered``, its own covered
+    set of the shared :class:`FeatureBalls`. Neither ``A`` nor the balls
+    are ever written: :meth:`add` only marks the seed's ball rows covered,
+    and MoI is the count of covered ids. The EDV gains are one mat-vec of
+    the adjacency-count CSR against the evasion probabilities of the
+    non-seed nodes.
 
     Single-writer; :meth:`gains` is a pure read and may be evaluated for
     any number of candidates against a frozen state.
     """
-
-    BLOCK_FLOPS = 1 << 20
-    BLOCK_BYTES = 1 << 20
 
     def __init__(self, g: Hypergraph, acts: ActivationSets,
                  balls: FeatureBalls, beta: float):
         _check_beta(beta)
         self.graph = g
         self.beta = beta
+        self.balls = balls
         n = g.num_nodes
-        n_rows = balls.indptr.size - 1
         a = sp.csr_matrix(
             (np.ones(acts.indices.size, dtype=bool), balls.row_of[acts.indices],
-             acts.indptr.copy()), shape=(n, n_rows))
+             acts.indptr.copy()), shape=(n, balls.indptr.size - 1))
         a.sum_duplicates()  # an infinite radius has one shared row
         self._act_ptr, self._act_rows = a.indptr, a.indices
-        words = -(-n // 64)
-        if n_rows * words * 8 <= balls.indices.size * 5:
-            self._bits = self._pack(balls, words)
-            self._balls = None
-            self.covered = np.zeros(words, dtype=np.uint64)
-        else:
-            self._bits = None
-            self._balls = sp.csr_matrix(
-                (np.ones(balls.indices.size, dtype=bool), balls.indices,
-                 balls.indptr), shape=(n_rows, n))
-            self.covered = np.zeros(n, dtype=bool)
+        self.covered = balls.empty()
         self._adj = g.adjacency()
         self.in_seed = np.zeros(n, dtype=bool)
         self.evasion = np.ones(n, dtype=np.float64)
         self.moi_value = 0
         self.edv_value = 0.0
-
-    def _pack(self, balls: FeatureBalls, words: int) -> np.ndarray:
-        """The ball rows as bitsets: bit ``j % 64`` of word ``j // 64`` of
-        row ``r`` is set iff ``j`` is in ball row ``r``. Packed from boolean
-        blocks of about ``BLOCK_BYTES``."""
-        ptr, ids = balls.indptr, balls.indices
-        n_rows = ptr.size - 1
-        bits = np.zeros((n_rows, words), dtype=np.uint64)
-        out = bits.view(np.uint8)
-        step = max(1, self.BLOCK_BYTES // (64 * words))
-        for r0 in range(0, n_rows, step):
-            r1 = min(n_rows, r0 + step)
-            block = np.zeros((r1 - r0, 64 * words), dtype=bool)
-            block[np.repeat(np.arange(r1 - r0), np.diff(ptr[r0:r1 + 1])),
-                  ids[ptr[r0]:ptr[r1]]] = True
-            out[r0:r1] = np.packbits(block, axis=1, bitorder="little")
-        return bits
 
     # -- pure reads -------------------------------------------------------
 
@@ -225,68 +293,9 @@ class CoverageState:
         ``cands`` alone, without mutating."""
         cands = np.asarray(cands, dtype=np.int64)
         self._check_candidates(cands)
-        coverage = (self._product_gains if self._bits is None
-                    else self._bitset_gains)
-        return coverage(cands), self._diffusion_gains(cands)
-
-    def _block_rows(self) -> int:
-        """Bitset rows per gathered block."""
-        return max(1, self.BLOCK_BYTES // self._bits[0].nbytes)
-
-    def _union(self, rows: np.ndarray) -> np.ndarray:
-        """OR of the bitset rows ``rows``, gathered in blocks."""
-        step = self._block_rows()
-        union = np.zeros(self._bits.shape[1], dtype=np.uint64)
-        for s in range(0, rows.size, step):
-            union |= np.bitwise_or.reduce(self._bits[rows[s:s + step]], axis=0)
-        return union
-
-    def _bitset_gains(self, cands: np.ndarray) -> np.ndarray:
         indptr, pos = _gather(self._act_ptr, cands)
-        rows = self._act_rows[pos]
-        free = ~self.covered
-        step = self._block_rows()
-        moi = np.zeros(cands.size, dtype=np.int64)
-        lo = 0
-        while lo < cands.size:  # a candidate over the bound goes alone
-            hi = max(lo + 1, int(np.searchsorted(
-                indptr, indptr[lo] + step, side="right")) - 1)
-            p, q = indptr[lo], indptr[hi]
-            if hi == lo + 1:
-                moi[lo] = np.bitwise_count(self._union(rows[p:q]) & free).sum()
-            else:
-                starts = indptr[lo:hi]
-                some = starts < indptr[lo + 1:hi + 1]  # empty A_c gains 0
-                unions = np.bitwise_or.reduceat(self._bits[rows[p:q]],
-                                                starts[some] - p, axis=0)
-                moi[lo:hi][some] = np.bitwise_count(unions & free).sum(axis=1)
-            lo = hi
-        return moi
-
-    def _product_gains(self, cands: np.ndarray) -> np.ndarray:
-        u = self._balls
-        indptr, pos = _gather(self._act_ptr, cands)
-        rows = self._act_rows[pos]
-        # flops[i]: multiply-adds of the product rows of cands[:i]
-        flops = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(np.diff(u.indptr)[rows], out=flops[1:])
-        flops = flops[indptr]
-        free = ~self.covered
-        moi = np.empty(cands.size, dtype=np.int64)
-        lo = 0
-        while lo < cands.size:  # a candidate over budget gets its own block
-            hi = max(lo + 1, int(np.searchsorted(
-                flops, flops[lo] + self.BLOCK_FLOPS, side="right")) - 1)
-            p, q = indptr[lo], indptr[hi]
-            block = sp.csr_matrix(
-                (np.ones(q - p, dtype=bool), rows[p:q], indptr[lo:hi + 1] - p),
-                shape=(hi - lo, u.shape[0]))
-            c = block @ u  # the boolean sum lists each id of a row once
-            hits = np.zeros(c.indices.size + 1, dtype=np.int64)
-            np.cumsum(free[c.indices], out=hits[1:])
-            moi[lo:hi] = np.diff(hits[c.indptr])
-            lo = hi
-        return moi
+        moi = self.balls.uncovered(self.covered, indptr, self._act_rows[pos])
+        return moi, self._diffusion_gains(cands)
 
     def _diffusion_gains(self, cands: np.ndarray) -> np.ndarray:
         # a candidate's own term moves into the seed count; a node in no
@@ -312,14 +321,7 @@ class CoverageState:
         one = np.array([v])
         self._check_candidates(one)
         rows = self._act_rows[self._act_ptr[v]:self._act_ptr[v + 1]]
-        if self._bits is not None:
-            self.covered |= self._union(rows)
-            self.moi_value = int(np.bitwise_count(self.covered).sum())
-        else:
-            u = self._balls
-            _, pos = _gather(u.indptr, rows)
-            self.covered[u.indices[pos]] = True
-            self.moi_value = int(np.count_nonzero(self.covered))
+        self.moi_value = self.balls.cover(self.covered, rows)
 
         self.edv_value += float(self._diffusion_gains(one)[0])
         adj_ptr, adj_ids, adj_counts = self._adj

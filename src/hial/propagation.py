@@ -64,8 +64,6 @@ class PropagationState:
 
     initial_features: np.ndarray
     propagated_features: np.ndarray
-    k: int
-    alpha: float
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,7 @@ def propagate(t: TransitionMatrix, x0: np.ndarray, k: int,
         raise DataError(
             f"feature matrix has {x0.shape[0]} rows, expected {t.num_nodes}")
     x = _recurrence(t, x0, k, alpha)
-    return PropagationState(x0, np.ascontiguousarray(x), k, alpha)
+    return PropagationState(x0, np.ascontiguousarray(x))
 
 
 def row_sum_vector(t: TransitionMatrix, k: int, alpha: float) -> np.ndarray:

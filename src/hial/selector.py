@@ -113,8 +113,6 @@ class SelectionContext:
     graph: Hypergraph
     config: SelectionConfig  # with theta/radius resolved to numbers
     pool: np.ndarray
-    transition: propagation.TransitionMatrix
-    prop_state: propagation.PropagationState
     acts: objective.ActivationSets
     balls: objective.FeatureBalls
     moi_hat: float
@@ -166,7 +164,7 @@ def normalizers(g: Hypergraph, sigma_all: np.ndarray,
     activates, whatever the candidate pool. EDV(V) is ``n``: with every
     node seeded no neighbor is left to reach, so each node counts once.
     """
-    moi_hat = balls.union_size(sigma_all)
+    moi_hat = balls.cover(balls.empty(), np.unique(balls.row_of[sigma_all]))
     if moi_hat == 0:
         raise ConfigError("whole-graph coverage is empty: theta excludes "
                           "every node; lower theta or its quantile")
@@ -197,8 +195,8 @@ def prepare(g: Hypergraph, features: np.ndarray,
         "gamma": cfg.gamma, "backend": cfg.backend,
         "moi_hat": moi_hat, "edv_hat": edv_hat,
     }
-    return SelectionContext(g, resolved, pool, t, ps, acts, balls,
-                            moi_hat, edv_hat, params)
+    return SelectionContext(g, resolved, pool, acts, balls, moi_hat, edv_hat,
+                            params)
 
 
 def _gains(ctx: SelectionContext, state: objective.CoverageState,

@@ -280,6 +280,25 @@ def test_error_printed_once():
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+def test_select_byte_identical_across_hash_seeds(tmp_path):
+    """The result document does not depend on Python's string hash order:
+    two child processes under different PYTHONHASHSEED values write the
+    same bytes."""
+    docs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+        out = tmp_path / f"res{hash_seed}.json"
+        proc = subprocess.run([sys.executable, "-m", "hial.cli",
+                               *toy_args(["--budget", "3", "--output",
+                                          str(out)])],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        docs.append((out.read_bytes(), proc.stdout))
+    assert docs[0] == docs[1]
+
+
 def test_exit_code_unknown_log_level(monkeypatch, capsys):
     monkeypatch.setenv("HIAL_LOG_LEVEL", "foo")
     code, stdout, err = run(["stats",

@@ -166,8 +166,9 @@ def test_balls_exact_ties_on_integer_grid(r):
 
 def test_balls_memory_follows_output():
     """The build holds the pairs and the sort keys, never a block x n x d
-    distance tensor, so the traced peak of its numpy buffers stays a small
-    multiple of the input and the index (1.6x here)."""
+    distance tensor, and packs the bitset form in bounded blocks, so the
+    traced peak of its numpy buffers stays a small multiple of the input
+    and the index (2.8x here, where one packing block holds every row)."""
     rng = np.random.default_rng(12)
     n, d = 400, 32
     pts = rng.normal(size=(n, d))
@@ -321,7 +322,7 @@ def test_gain_queries_match_add(seed):
         assert eg >= -1e-12
 
 
-@pytest.mark.parametrize("block_flops", [1, 8, CoverageState.BLOCK_FLOPS])
+@pytest.mark.parametrize("block_flops", [1, 8, FeatureBalls.BLOCK_FLOPS])
 @pytest.mark.parametrize("radius", [0.0, 0.8, np.inf])
 @pytest.mark.parametrize("seed", range(8))
 def test_batched_gains_match_oracle(seed, radius, block_flops, monkeypatch):
@@ -329,18 +330,23 @@ def test_batched_gains_match_oracle(seed, radius, block_flops, monkeypatch):
     differences after each add, however the product or the bitset gather is
     split into blocks, and a permuted batch gives the permuted gains.
     Radius 0 takes the CSR product and the wider radii the bitset, so both
-    coverage representations are checked."""
-    if block_flops < CoverageState.BLOCK_FLOPS:
+    coverage forms are checked. A second state on the same balls reads the
+    same coverage form but starts from its own empty covered set."""
+    if block_flops < FeatureBalls.BLOCK_FLOPS:
         # the bitset gather shrinks alongside: 1 or 8 one-word rows a block
-        monkeypatch.setattr(CoverageState, "BLOCK_BYTES", 8 * block_flops)
-    monkeypatch.setattr(CoverageState, "BLOCK_FLOPS", block_flops)
+        monkeypatch.setattr(FeatureBalls, "BLOCK_BYTES", 8 * block_flops)
+    monkeypatch.setattr(FeatureBalls, "BLOCK_FLOPS", block_flops)
     rng, g, edges, n, m_k, acts, balls, state, oballs, theta, beta = \
         build_state(seed, radius=radius, beta=0.5)
-    assert (state._bits is None) == (radius == 0.0)
+    assert (balls._bits is None) == (radius == 0.0)
+    form = balls._csr if balls._bits is None else balls._bits
+    snapshot = form.copy()
     chosen = []
     for _ in range(min(4, n - 1)):
         cands = np.flatnonzero(~state.in_seed)
         moi, edv_g = state.gains(cands)
+        if not chosen:
+            first = moi, edv_g
         base_moi = oracles.moi_value(m_k, theta, set(chosen), oballs)
         base_edv = oracles.edv_value(edges, n, chosen, beta)
         for c, mg, eg in zip(cands.tolist(), moi, edv_g):
@@ -357,14 +363,19 @@ def test_batched_gains_match_oracle(seed, radius, block_flops, monkeypatch):
         chosen.append(v)
         state.add(v)
     # add marks ids covered and writes neither A nor the balls
+    if balls._bits is None:
+        assert (form != snapshot).nnz == 0
+    else:
+        assert np.array_equal(form, snapshot)
     fresh = CoverageState(g, acts, balls, beta)
     assert state._act_ptr.tolist() == fresh._act_ptr.tolist()
     assert state._act_rows.tolist() == fresh._act_rows.tolist()
-    if state._bits is not None:
-        assert np.array_equal(state._bits, fresh._bits)
-    else:
-        assert state._balls.indptr.tolist() == fresh._balls.indptr.tolist()
-        assert state._balls.indices.tolist() == fresh._balls.indices.tolist()
+    # the second state shares the coverage form, not the covered set
+    assert (balls._csr if balls._bits is None else balls._bits) is form
+    assert fresh.covered is not state.covered
+    f_moi, f_edv = fresh.gains(np.arange(n))
+    assert f_moi.tolist() == first[0].tolist()
+    assert f_edv.tolist() == first[1].tolist()
 
 
 def test_moi_reduces_to_sigma_when_radius_zero():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hial import (ConfigError, SelectionConfig, build, build_hoi_transition,
-                  edv, influence_columns, prepare, select_lazy, select_naive)
+                  build_transition, edv, influence_columns, prepare,
+                  propagate, select_lazy, select_naive)
 from hial.selector import _resolve_theta
 import oracles
 
@@ -22,6 +23,16 @@ def make_context(seed, n_max=14, budget=3, **overrides):
     kwargs.update(overrides)
     cfg = SelectionConfig(**kwargs)
     return g, x, edges, n, prepare(g, x, cfg)
+
+
+def oracle_inputs(g, x, ctx):
+    """Dense influence matrix and oracle balls of a prepared context,
+    rebuilt with the public propagation API from its resolved config."""
+    cfg = ctx.config
+    t = build_transition(g, cfg.backend)
+    m_k = oracles.dense_influence_matrix(t.matrix.toarray(), cfg.k, cfg.alpha)
+    ps = propagate(t, x, cfg.k, cfg.alpha)
+    return m_k, oracles.feature_balls(ps.propagated_features, cfg.radius)
 
 
 def test_config_validation():
@@ -53,10 +64,7 @@ def test_normalizers_edv_is_node_count():
 def test_normalizer_moi_matches_scratch():
     for seed, radius in itertools.product(range(8), (0.8, math.inf)):
         g, x, edges, n, ctx = make_context(seed, radius=radius)
-        m_k = oracles.dense_influence_matrix(
-            ctx.transition.matrix.toarray(), ctx.config.k, ctx.config.alpha)
-        oballs = oracles.feature_balls(ctx.prop_state.propagated_features,
-                                      ctx.config.radius)
+        m_k, oballs = oracle_inputs(g, x, ctx)
         expect = oracles.moi_value(m_k, ctx.config.theta, set(range(n)), oballs)
         assert ctx.moi_hat == expect
 
@@ -68,10 +76,7 @@ def test_restricted_pool_normalizer_covers_all_nodes(seed):
     quantile over the pool's influence columns only."""
     pool = (0, 2, 5)
     g, x, edges, n, ctx = make_context(seed, candidate_pool=pool)
-    m_k = oracles.dense_influence_matrix(
-        ctx.transition.matrix.toarray(), ctx.config.k, ctx.config.alpha)
-    oballs = oracles.feature_balls(ctx.prop_state.propagated_features,
-                                  ctx.config.radius)
+    m_k, oballs = oracle_inputs(g, x, ctx)
     expect = oracles.moi_value(m_k, ctx.config.theta, set(range(n)), oballs)
     assert ctx.moi_hat == expect
     assert list(ctx.pool) == list(pool)
@@ -115,10 +120,7 @@ def test_degenerate_theta_rejected():
 def test_budget_one_picks_best_singleton():
     g, x, edges, n, ctx = make_context(1, budget=1)
     res = select_naive(ctx)
-    m_k = oracles.dense_influence_matrix(
-        ctx.transition.matrix.toarray(), ctx.config.k, ctx.config.alpha)
-    oballs = oracles.feature_balls(ctx.prop_state.propagated_features,
-                                  ctx.config.radius)
+    m_k, oballs = oracle_inputs(g, x, ctx)
 
     def value(subset):
         return oracles.scratch_objective(
@@ -198,10 +200,7 @@ def test_greedy_guarantee_on_exhaustive_instances(seed):
     ctx.config = replace(ctx.config, budget=budget)
     res = select_naive(ctx)
 
-    m_k = oracles.dense_influence_matrix(
-        ctx.transition.matrix.toarray(), ctx.config.k, ctx.config.alpha)
-    oballs = oracles.feature_balls(ctx.prop_state.propagated_features,
-                                  ctx.config.radius)
+    m_k, oballs = oracle_inputs(g, x, ctx)
 
     def value(subset):
         return oracles.scratch_objective(
@@ -228,8 +227,8 @@ def test_default_config_scale_lazy_equals_naive():
     x = centers[rng.integers(0, 4, n)] + rng.normal(size=(n, 8))
     ctx = prepare(g, x, SelectionConfig(budget=10))
     state = ctx.fresh_state()
-    assert state._bits is not None
-    assert state._act_rows.size > 2 * state._block_rows()
+    assert ctx.balls._bits is not None
+    assert state._act_rows.size > 2 * ctx.balls._block_rows()
     naive = select_naive(ctx)
     lazy = select_lazy(ctx)
     assert lazy.seeds == naive.seeds
