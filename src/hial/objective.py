@@ -3,7 +3,7 @@
 The coverage side activates every node whose normalized influence from the
 seed set strictly exceeds a threshold, then counts the union of
 feature-space balls around the activated nodes. :class:`FeatureBalls`
-builds every ball once, from one KD-tree pair query, together with their
+builds every ball once, from one KD-tree pair query, and keeps only their
 coverage form: packed bitsets when the balls are dense, a boolean CSR for
 one sparse product when they are sparse, whichever takes fewer bytes. The
 diffusion side scores the expected number of one-hop neighbors activated
@@ -69,20 +69,19 @@ def build_activation_sets(ic: InfluenceColumns, theta: float) -> ActivationSets:
 class FeatureBalls:
     """Radius-``r`` Euclidean neighborhoods in propagated feature space.
 
-    Every ball is computed once, at construction, into one sparse index of
-    distinct rows, CSR style: the ball of node ``u`` is row
-    ``row_of[u]``, i.e. ``indices[indptr[r]:indptr[r + 1]]``, the sorted
-    int32 ids within ``radius`` of ``u`` (always including ``u``). A
-    finite radius stores one row per node, built from a single KD-tree
+    Row ``u`` of the coverage form is the ball of node ``u``: the ids
+    within ``radius`` of ``u`` (always including ``u``). Every ball is
+    computed once, at construction: a finite radius from a single KD-tree
     pair query whatever the dimension, so the transient memory is
-    proportional to the output. An infinite radius stores the single row
-    ``0..n-1`` that every node maps to, so it stays O(n).
+    proportional to the output. An infinite radius packs the one all-ids
+    row once and reads it as every node's row (a row stride of 0), so it
+    stays ``⌈n/64⌉`` words and always takes the bitset form.
 
-    The class alone reads the rows' coverage form, built once here and
-    read only through :meth:`empty`, :meth:`cover` and :meth:`uncovered`,
-    so every :class:`CoverageState` shares it with its own covered set:
+    Only the chosen coverage form is kept, read only through
+    :meth:`empty`, :meth:`cover` and :meth:`uncovered`, so every
+    :class:`CoverageState` shares it with its own covered set:
 
-    * **bitset** when its ``n_rows·⌈n/64⌉·8`` bytes are no more than the
+    * **bitset** when its ``n·⌈n/64⌉·8`` bytes are no more than the
       ``nnz·5`` bytes (int32 ids, bool data) of the CSR: each row packed
       into ``⌈n/64⌉`` uint64 words, a covered set one word array, and an
       uncovered count the popcount of the OR of the rows and ``~covered``;
@@ -104,22 +103,18 @@ class FeatureBalls:
         points = np.ascontiguousarray(points, dtype=np.float64)
         self.radius = float(radius)
         n = self.num_nodes = points.shape[0]
-        if math.isfinite(self.radius):
-            self.indptr, self.indices = self._build_index(points)
-            self.row_of = np.arange(n, dtype=np.int64)
-        else:
-            self.indptr = np.array([0, n], dtype=np.int64)
-            self.indices = np.arange(n, dtype=np.int32)
-            self.row_of = np.zeros(n, dtype=np.int64)
-        n_rows = self.indptr.size - 1
         words = -(-n // 64)
         self._bits = self._csr = None
-        if n_rows * words * 8 <= self.indices.size * 5:
-            self._bits = self._pack(words)
+        if not math.isfinite(self.radius):
+            row = self._pack(words, np.array([0, n]), np.arange(n))
+            self._bits = np.broadcast_to(row, (n, words))
+            return
+        indptr, ids = self._build_index(points)
+        if n * words * 8 <= ids.size * 5:
+            self._bits = self._pack(words, indptr, ids)
         else:
             self._csr = sp.csr_matrix(
-                (np.ones(self.indices.size, dtype=bool), self.indices,
-                 self.indptr), shape=(n_rows, n))
+                (np.ones(ids.size, dtype=bool), ids, indptr), shape=(n, n))
 
     def _build_index(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """CSR row pointer and concatenated sorted rows of every ball."""
@@ -141,11 +136,10 @@ class FeatureBalls:
         np.remainder(keys, n, out=keys)
         return indptr, keys.astype(np.int32)
 
-    def _pack(self, words: int) -> np.ndarray:
-        """The rows as bitsets: bit ``j % 64`` of word ``j // 64`` of row
-        ``r`` is set iff ``j`` is in row ``r``. Packed from boolean blocks
-        of about ``BLOCK_BYTES``."""
-        ptr, ids = self.indptr, self.indices
+    def _pack(self, words: int, ptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """The CSR rows ``(ptr, ids)`` as bitsets: bit ``j % 64`` of word
+        ``j // 64`` of row ``r`` is set iff ``j`` is in row ``r``. Packed
+        from boolean blocks of about ``BLOCK_BYTES``."""
         n_rows = ptr.size - 1
         bits = np.zeros((n_rows, words), dtype=np.uint64)
         out = bits.view(np.uint8)
@@ -170,8 +164,8 @@ class FeatureBalls:
         """Mark the ids of the rows ``rows`` in ``covered``; return the
         number of covered ids."""
         if self._bits is None:
-            _, pos = _gather(self.indptr, rows)
-            covered[self.indices[pos]] = True
+            _, pos = _gather(self._csr.indptr, rows)
+            covered[self._csr.indices[pos]] = True
             return int(np.count_nonzero(covered))
         covered |= self._union(rows)
         return int(np.bitwise_count(covered).sum())
@@ -254,14 +248,14 @@ class CoverageState:
     """Incremental state of the seed set's coverage and diffusion values.
 
     MoI is plain set coverage: seeding ``c`` covers the union of the balls
-    of the nodes in ``A_c``. The state keeps ``A``, the activation sets
-    with every activated node mapped to its ball row (row pointer
-    ``_act_ptr``, row ids ``_act_rows``), and ``covered``, its own covered
-    set of the shared :class:`FeatureBalls`. Neither ``A`` nor the balls
-    are ever written: :meth:`add` only marks the seed's ball rows covered,
-    and MoI is the count of covered ids. The EDV gains are one mat-vec of
-    the adjacency-count CSR against the evasion probabilities of the
-    non-seed nodes.
+    of the nodes in ``A_c``. Ball row ``u`` is the ball of node ``u``, so
+    the state reads the activation sets as they are (row pointer
+    ``_act_ptr``, row ids ``_act_rows``, shared, not copied) and keeps
+    ``covered``, its own covered set of the shared :class:`FeatureBalls`.
+    Neither ``A`` nor the balls are ever written: :meth:`add` only marks
+    the seed's ball rows covered, and MoI is the count of covered ids. The
+    EDV gains are one mat-vec of the adjacency-count CSR against the
+    evasion probabilities of the non-seed nodes.
 
     Single-writer; :meth:`gains` is a pure read and may be evaluated for
     any number of candidates against a frozen state.
@@ -274,11 +268,7 @@ class CoverageState:
         self.beta = beta
         self.balls = balls
         n = g.num_nodes
-        a = sp.csr_matrix(
-            (np.ones(acts.indices.size, dtype=bool), balls.row_of[acts.indices],
-             acts.indptr.copy()), shape=(n, balls.indptr.size - 1))
-        a.sum_duplicates()  # an infinite radius has one shared row
-        self._act_ptr, self._act_rows = a.indptr, a.indices
+        self._act_ptr, self._act_rows = acts.indptr, acts.indices
         self.covered = balls.empty()
         self._adj = g.adjacency()
         self.in_seed = np.zeros(n, dtype=bool)
@@ -300,15 +290,16 @@ class CoverageState:
     def _diffusion_gains(self, cands: np.ndarray) -> np.ndarray:
         # a candidate's own term moves into the seed count; a node in no
         # hyperedge has no neighbors, so its sum is 0 whatever d is
-        free = self.evasion * ~self.in_seed
         d = np.maximum(self.graph.node_degree[cands], 1)
         adj_ptr, adj_ids, adj_counts = self._adj
         indptr, pos = _gather(adj_ptr, cands)
+        nb = adj_ids[pos]
+        free = self.evasion[nb] * ~self.in_seed[nb]
         # the sparse mat-vec of the adjacency rows of cands with free: each
         # row sums its entries in order, so a gain does not depend on its
         # batch
         row = np.repeat(np.arange(cands.size), np.diff(indptr))
-        sums = np.bincount(row, weights=adj_counts[pos] * free[adj_ids[pos]],
+        sums = np.bincount(row, weights=adj_counts[pos] * free,
                            minlength=cands.size)
         return self.evasion[cands] + self.beta / d * sums
 

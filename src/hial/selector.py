@@ -164,7 +164,7 @@ def normalizers(g: Hypergraph, sigma_all: np.ndarray,
     activates, whatever the candidate pool. EDV(V) is ``n``: with every
     node seeded no neighbor is left to reach, so each node counts once.
     """
-    moi_hat = balls.cover(balls.empty(), np.unique(balls.row_of[sigma_all]))
+    moi_hat = balls.cover(balls.empty(), np.flatnonzero(sigma_all))
     if moi_hat == 0:
         raise ConfigError("whole-graph coverage is empty: theta excludes "
                           "every node; lower theta or its quantile")

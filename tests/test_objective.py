@@ -101,9 +101,13 @@ def test_activation_memory_follows_output():
 
 
 def ball(balls, u):
-    """Sorted ids of the ball of node ``u``, read from the index."""
-    r = balls.row_of[u]
-    return balls.indices[balls.indptr[r]:balls.indptr[r + 1]]
+    """Sorted ids of the ball of node ``u``, read from its coverage form:
+    row ``u`` of the CSR, or bitset row ``u`` unpacked."""
+    if balls._bits is None:
+        ptr = balls._csr.indptr
+        return balls._csr.indices[ptr[u]:ptr[u + 1]]
+    bits = np.unpackbits(balls._bits[u].view(np.uint8), bitorder="little")
+    return np.flatnonzero(bits[:balls.num_nodes])
 
 
 def assert_balls_match_oracle(balls, points, r):
@@ -131,8 +135,7 @@ def test_radius_infinite_covers_all():
     balls = build_feature_balls(ps, np.inf)
     for u in range(n):
         assert ball(balls, u).tolist() == list(range(n))
-    assert balls.indices.size == n  # one shared row, not n copies
-    assert balls.indptr.tolist() == [0, n]
+    assert balls._bits.strides[0] == 0  # one shared row, not n copies
 
 
 def test_negative_radius_rejected():
@@ -178,8 +181,9 @@ def test_balls_memory_follows_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 2 * n < balls.indices.size < n * n  # neither empty nor full
-    held = pts.nbytes + balls.indptr.nbytes + balls.indices.nbytes
+    nnz = sum(ball(balls, u).size for u in range(n))
+    assert 2 * n < nnz < n * n  # neither empty nor full
+    held = pts.nbytes + 8 * (n + 1) + 4 * nnz  # the int32 id CSR's bytes
     assert peak < 4 * held
 
 
@@ -368,8 +372,9 @@ def test_batched_gains_match_oracle(seed, radius, block_flops, monkeypatch):
     else:
         assert np.array_equal(form, snapshot)
     fresh = CoverageState(g, acts, balls, beta)
-    assert state._act_ptr.tolist() == fresh._act_ptr.tolist()
-    assert state._act_rows.tolist() == fresh._act_rows.tolist()
+    # both states read A as the activation sets hold it
+    assert state._act_ptr is acts.indptr and state._act_rows is acts.indices
+    assert fresh._act_ptr is acts.indptr and fresh._act_rows is acts.indices
     # the second state shares the coverage form, not the covered set
     assert (balls._csr if balls._bits is None else balls._bits) is form
     assert fresh.covered is not state.covered
