@@ -109,7 +109,7 @@ def load_features(path: str | Path,
 
 
 def _load_features_sparse(path: str | Path) -> dict[str, np.ndarray]:
-    entries: dict[str, list[tuple[int, float]]] = {}
+    entries: dict[str, dict[int, float]] = {}
     dim = 0
     with open(path) as fh:
         for lineno, row in enumerate(csv.reader(fh), 1):
@@ -118,7 +118,7 @@ def _load_features_sparse(path: str | Path) -> dict[str, np.ndarray]:
             ext = row[0].strip()
             if ext in entries:
                 raise DataError(f"{path}:{lineno}: duplicate node id {ext!r}")
-            pairs = []
+            pairs: dict[int, float] = {}
             for cell in row[1:]:
                 cell = cell.strip()
                 if not cell:
@@ -134,7 +134,10 @@ def _load_features_sparse(path: str | Path) -> dict[str, np.ndarray]:
                         f"{path}:{lineno}: bad feature index {idx_s!r}") from None
                 if idx < 0:
                     raise DataError(f"{path}:{lineno}: negative feature index")
-                pairs.append((idx, _parse_float(val_s, path, lineno)))
+                if idx in pairs:
+                    raise DataError(
+                        f"{path}:{lineno}: repeated feature index {idx}")
+                pairs[idx] = _parse_float(val_s, path, lineno)
                 dim = max(dim, idx + 1)
             entries[ext] = pairs
     if not entries:
@@ -144,7 +147,7 @@ def _load_features_sparse(path: str | Path) -> dict[str, np.ndarray]:
     feats = {}
     for ext, pairs in entries.items():
         vec = np.zeros(dim, dtype=np.float64)
-        for idx, val in pairs:
+        for idx, val in pairs.items():
             vec[idx] = val
         feats[ext] = vec
     return feats

@@ -4,18 +4,21 @@ The coverage side activates every node whose normalized influence from the
 seed set strictly exceeds a threshold, then counts the union of
 feature-space balls around the activated nodes. :class:`FeatureBalls`
 builds every ball once, from one KD-tree pair query, and keeps only their
-coverage form: packed bitsets when the balls are dense, a boolean CSR for
-one sparse product when they are sparse, whichever takes fewer bytes. The
-diffusion side scores the expected number of one-hop neighbors activated
-through shared hyperedges. Both are monotone and submodular, so the greedy
-selector keeps an incrementally updated :class:`CoverageState` and scores
-whole batches of candidates without mutation. Adding a seed only marks ids
-in the state's own covered set; the activation sets and the balls, shared
-by every state, stay fixed. The diffusion gains are one sparse mat-vec.
+coverage form: packed bitsets when the balls are dense, a boolean CSR when
+they are sparse, whichever takes fewer bytes. The diffusion side scores the
+expected number of one-hop neighbors activated through shared hyperedges.
+Both are monotone and submodular, so the greedy selector keeps an
+incrementally updated :class:`CoverageState` and scores whole batches of
+candidates without mutation. A state composes each candidate's union of
+activated balls once, in the same form, so a MoI gain reads one row and
+adding a seed marks one row's ids in the state's own covered set; the
+activation sets, the balls and the unions stay fixed. The diffusion gains
+are one sparse mat-vec.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -77,17 +80,20 @@ class FeatureBalls:
     row once and reads it as every node's row (a row stride of 0), so it
     stays ``⌈n/64⌉`` words and always takes the bitset form.
 
-    Only the chosen coverage form is kept, read only through
-    :meth:`empty`, :meth:`cover` and :meth:`uncovered`, so every
-    :class:`CoverageState` shares it with its own covered set:
+    Only the chosen coverage form is kept, and it is never written:
+    :meth:`unions` composes groups of its rows into a new instance of the
+    same form, and :meth:`empty`, :meth:`cover` and :meth:`uncovered` read
+    either with the caller's own covered set:
 
     * **bitset** when its ``n·⌈n/64⌉·8`` bytes are no more than the
       ``nnz·5`` bytes (int32 ids, bool data) of the CSR: each row packed
-      into ``⌈n/64⌉`` uint64 words, a covered set one word array, and an
-      uncovered count the popcount of the OR of the rows and ``~covered``;
+      into ``⌈n/64⌉`` uint64 words, a covered set one word array, an
+      uncovered count the popcount of a row and ``~covered``, a union the
+      OR of its rows;
     * **CSR** otherwise: a boolean CSR of the rows, a covered set one
-      boolean array, and the unions of a batch the rows of one boolean
-      product with it (the boolean sum lists each id once).
+      boolean array, an uncovered count a row of the selected rows'
+      product with ``~covered``, and a union a row of one boolean product
+      with it (the boolean sum lists each id once).
 
     Both bound their transient memory by design: the bitset is packed and
     gathered in blocks of about ``BLOCK_BYTES``, and the product is built
@@ -160,23 +166,57 @@ class FeatureBalls:
             return np.zeros(self.num_nodes, dtype=bool)
         return np.zeros(self._bits.shape[1], dtype=np.uint64)
 
-    def cover(self, covered: np.ndarray, rows: np.ndarray) -> int:
-        """Mark the ids of the rows ``rows`` in ``covered``; return the
-        number of covered ids."""
+    def cover(self, covered: np.ndarray, rows) -> int:
+        """Mark the ids of the rows ``rows`` (an id array, or one id) in
+        ``covered``; return the number of covered ids."""
         if self._bits is None:
-            _, pos = _gather(self._csr.indptr, rows)
+            _, pos = _gather(self._csr.indptr, np.atleast_1d(rows))
             covered[self._csr.indices[pos]] = True
             return int(np.count_nonzero(covered))
-        covered |= self._union(rows)
+        covered |= self._union(rows) if np.ndim(rows) else self._bits[rows]
         return int(np.bitwise_count(covered).sum())
 
-    def uncovered(self, covered: np.ndarray, indptr: np.ndarray,
-                  rows: np.ndarray) -> np.ndarray:
-        """int64 count of the ids not in ``covered`` in the union of each
-        group of rows; group ``i`` is ``rows[indptr[i]:indptr[i + 1]]``."""
+    def uncovered(self, covered: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """int64 count of the ids of each row of ``rows`` not in
+        ``covered``."""
+        # scipy's row selection costs ~0.1 ms more per call than a numpy
+        # gather, but is several times faster on a whole-pool batch
         if self._bits is None:
-            return self._product_gains(~covered, indptr, rows)
-        return self._bitset_gains(~covered, indptr, rows)
+            free = (~covered).astype(np.int32)
+            return (self._csr[rows] @ free).astype(np.int64)
+        free, step = ~covered, self._block_rows()
+        out = np.empty(rows.size, dtype=np.int64)
+        for s in range(0, rows.size, step):
+            out[s:s + step] = np.bitwise_count(
+                self._bits[rows[s:s + step]] & free).sum(axis=1)
+        return out
+
+    def unions(self, indptr: np.ndarray, rows: np.ndarray) -> "FeatureBalls":
+        """The same coverage form, whose row ``i`` is the union of the rows
+        ``rows[indptr[i]:indptr[i + 1]]``. Composed in blocks of about
+        ``BLOCK_BYTES`` of gathered bitset rows, or of at most
+        ``BLOCK_FLOPS`` multiply-adds of the boolean product."""
+        out = copy.copy(self)
+        if self._bits is None:
+            out._csr = self._products(indptr, rows)
+            return out
+        out._bits = np.zeros((indptr.size - 1, self._bits.shape[1]),
+                             dtype=np.uint64)
+        step = self._block_rows()
+        lo = 0
+        while lo < indptr.size - 1:  # a group over the bound goes alone
+            hi = max(lo + 1, int(np.searchsorted(
+                indptr, indptr[lo] + step, side="right")) - 1)
+            p, q = indptr[lo], indptr[hi]
+            if hi == lo + 1:
+                out._bits[lo] = self._union(rows[p:q])
+            else:
+                starts = indptr[lo:hi]
+                some = starts < indptr[lo + 1:hi + 1]  # an empty group stays 0
+                out._bits[lo:hi][some] = np.bitwise_or.reduceat(
+                    self._bits[rows[p:q]], starts[some] - p, axis=0)
+            lo = hi
+        return out
 
     def _block_rows(self) -> int:
         """Bitset rows per gathered block."""
@@ -190,48 +230,25 @@ class FeatureBalls:
             union |= np.bitwise_or.reduce(self._bits[rows[s:s + step]], axis=0)
         return union
 
-    def _bitset_gains(self, free: np.ndarray, indptr: np.ndarray,
-                      rows: np.ndarray) -> np.ndarray:
-        step = self._block_rows()
-        moi = np.zeros(indptr.size - 1, dtype=np.int64)
-        lo = 0
-        while lo < moi.size:  # a group over the bound goes alone
-            hi = max(lo + 1, int(np.searchsorted(
-                indptr, indptr[lo] + step, side="right")) - 1)
-            p, q = indptr[lo], indptr[hi]
-            if hi == lo + 1:
-                moi[lo] = np.bitwise_count(self._union(rows[p:q]) & free).sum()
-            else:
-                starts = indptr[lo:hi]
-                some = starts < indptr[lo + 1:hi + 1]  # an empty group gains 0
-                unions = np.bitwise_or.reduceat(self._bits[rows[p:q]],
-                                                starts[some] - p, axis=0)
-                moi[lo:hi][some] = np.bitwise_count(unions & free).sum(axis=1)
-            lo = hi
-        return moi
-
-    def _product_gains(self, free: np.ndarray, indptr: np.ndarray,
-                       rows: np.ndarray) -> np.ndarray:
+    def _products(self, indptr: np.ndarray, rows: np.ndarray) -> sp.csr_matrix:
         u = self._csr
         # flops[i]: multiply-adds of the product rows of the first i groups
         flops = np.zeros(rows.size + 1, dtype=np.int64)
         np.cumsum(np.diff(u.indptr)[rows], out=flops[1:])
         flops = flops[indptr]
-        moi = np.empty(indptr.size - 1, dtype=np.int64)
+        blocks = []
         lo = 0
-        while lo < moi.size:  # a group over budget gets its own block
+        while lo < indptr.size - 1:  # a group over budget gets its own block
             hi = max(lo + 1, int(np.searchsorted(
                 flops, flops[lo] + self.BLOCK_FLOPS, side="right")) - 1)
             p, q = indptr[lo], indptr[hi]
             block = sp.csr_matrix(
                 (np.ones(q - p, dtype=bool), rows[p:q], indptr[lo:hi + 1] - p),
                 shape=(hi - lo, u.shape[0]))
-            c = block @ u  # the boolean sum lists each id of a row once
-            hits = np.zeros(c.indices.size + 1, dtype=np.int64)
-            np.cumsum(free[c.indices], out=hits[1:])
-            moi[lo:hi] = np.diff(hits[c.indptr])
+            blocks.append(block @ u)  # the boolean sum lists each id once
             lo = hi
-        return moi
+        # the blocks and their joined copy: twice the output, briefly
+        return sp.vstack(blocks, format="csr")
 
 
 def build_feature_balls(ps: PropagationState, radius: float) -> FeatureBalls:
@@ -247,15 +264,15 @@ def _check_beta(beta: float) -> None:
 class CoverageState:
     """Incremental state of the seed set's coverage and diffusion values.
 
-    MoI is plain set coverage: seeding ``c`` covers the union of the balls
-    of the nodes in ``A_c``. Ball row ``u`` is the ball of node ``u``, so
-    the state reads the activation sets as they are (row pointer
-    ``_act_ptr``, row ids ``_act_rows``, shared, not copied) and keeps
-    ``covered``, its own covered set of the shared :class:`FeatureBalls`.
-    Neither ``A`` nor the balls are ever written: :meth:`add` only marks
-    the seed's ball rows covered, and MoI is the count of covered ids. The
-    EDV gains are one mat-vec of the adjacency-count CSR against the
-    evasion probabilities of the non-seed nodes.
+    MoI is plain set coverage: seeding ``c`` covers ``U_c``, the union of
+    the balls of the nodes in ``A_c``. Neither ``A`` nor the balls change
+    during a selection, so the state composes every ``U_c`` once into
+    ``sets`` (:meth:`FeatureBalls.unions`; row ``c`` is ``U_c``, and at an
+    infinite radius all ``n`` rows are real) and keeps ``covered``, its
+    own covered set. A MoI gain counts one row's uncovered ids, and
+    :meth:`add` marks one row covered; ``sets`` is never written. The EDV
+    gains are one mat-vec of the adjacency-count CSR against the evasion
+    probabilities of the non-seed nodes.
 
     Single-writer; :meth:`gains` is a pure read and may be evaluated for
     any number of candidates against a frozen state.
@@ -266,13 +283,11 @@ class CoverageState:
         _check_beta(beta)
         self.graph = g
         self.beta = beta
-        self.balls = balls
-        n = g.num_nodes
-        self._act_ptr, self._act_rows = acts.indptr, acts.indices
-        self.covered = balls.empty()
+        self.sets = balls.unions(acts.indptr, acts.indices)
+        self.covered = self.sets.empty()
         self._adj = g.adjacency()
-        self.in_seed = np.zeros(n, dtype=bool)
-        self.evasion = np.ones(n, dtype=np.float64)
+        self.in_seed = np.zeros(g.num_nodes, dtype=bool)
+        self.evasion = np.ones(g.num_nodes, dtype=np.float64)
         self.moi_value = 0
         self.edv_value = 0.0
 
@@ -282,9 +297,13 @@ class CoverageState:
         """MoI (int64) and EDV (float64) gains of seeding each node of
         ``cands`` alone, without mutating."""
         cands = np.asarray(cands, dtype=np.int64)
-        self._check_candidates(cands)
-        indptr, pos = _gather(self._act_ptr, cands)
-        moi = self.balls.uncovered(self.covered, indptr, self._act_rows[pos])
+        bad = (cands < 0) | (cands >= self.graph.num_nodes)
+        if bad.any():
+            raise DataError(f"node id {cands[bad][0]} out of range")
+        seeded = self.in_seed[cands]
+        if seeded.any():
+            raise DataError(f"node {cands[seeded][0]} is already a seed")
+        moi = self.sets.uncovered(self.covered, cands)
         return moi, self._diffusion_gains(cands)
 
     def _diffusion_gains(self, cands: np.ndarray) -> np.ndarray:
@@ -306,31 +325,28 @@ class CoverageState:
     # -- mutation ---------------------------------------------------------
 
     def add(self, v: int) -> "CoverageState":
-        """Seed ``v``: mark the ids of v's ball rows covered and update
-        evasion products for v's non-seed neighbors."""
+        """Seed ``v``: mark the ids of row ``v`` of ``sets`` covered and
+        update evasion products for v's non-seed neighbors."""
         v = int(v)
-        one = np.array([v])
-        self._check_candidates(one)
-        rows = self._act_rows[self._act_ptr[v]:self._act_ptr[v + 1]]
-        self.moi_value = self.balls.cover(self.covered, rows)
+        if not 0 <= v < self.graph.num_nodes:
+            raise DataError(f"node id {v} out of range")
+        if self.in_seed[v]:
+            raise DataError(f"node {v} is already a seed")
+        self.moi_value = self.sets.cover(self.covered, v)
 
-        self.edv_value += float(self._diffusion_gains(one)[0])
         adj_ptr, adj_ids, adj_counts = self._adj
-        d_v = self.graph.node_degree[v]
         nb = adj_ids[adj_ptr[v]:adj_ptr[v + 1]]
         ct = adj_counts[adj_ptr[v]:adj_ptr[v + 1]]
         free = ~self.in_seed[nb]
+        # v's _diffusion_gains term, summed in the same entry order
+        s = np.bincount(np.zeros(nb.size, dtype=np.intp),
+                        weights=ct * (self.evasion[nb] * free), minlength=1)
+        d_v = self.graph.node_degree[v]
+        self.edv_value += float(
+            self.evasion[v] + self.beta / max(d_v, 1) * s[0])
         self.evasion[nb[free]] *= 1.0 - self.beta * ct[free] / d_v
         self.in_seed[v] = True
         return self
-
-    def _check_candidates(self, cands: np.ndarray) -> None:
-        bad = (cands < 0) | (cands >= self.graph.num_nodes)
-        if bad.any():
-            raise DataError(f"node id {cands[bad][0]} out of range")
-        seeded = self.in_seed[cands]
-        if seeded.any():
-            raise DataError(f"node {cands[seeded][0]} is already a seed")
 
 
 def _gather(indptr: np.ndarray,

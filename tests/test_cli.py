@@ -334,6 +334,18 @@ def test_exit_code_sparse_features_without_cells(tmp_path, capsys):
     assert "no feature cells" in err
 
 
+def test_exit_code_sparse_repeated_index(tmp_path, capsys):
+    f = tmp_path / "dup.csv"
+    f.write_text("".join(f"{i},0:1,1:{i}\n" for i in range(11))
+                 + "11,0:1,0:5\n")
+    code, _, err = run(["select",
+                        "--hyperedges", str(SAMPLE / "toy.hyperedges"),
+                        "--features", str(f), "--sparse-features",
+                        "--budget", "1"], capsys)
+    assert code == cli.EXIT_DATA
+    assert "dup.csv:12: repeated feature index 0" in err
+
+
 def test_exit_code_non_finite_feature(tmp_path, capsys):
     # the toy features with one cell replaced by nan
     rows = (SAMPLE / "toy.features.csv").read_text().splitlines()

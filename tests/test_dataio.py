@@ -84,6 +84,13 @@ def test_load_features_sparse_bad_cell(tmp_path):
         dataio.load_features(p, sparse=True)
 
 
+def test_load_features_sparse_repeated_index_rejected(tmp_path):
+    """A repeated index used to load silently, the last value winning."""
+    p = write(tmp_path, "f.csv", "a,1:2.0\nb,0:1,0:5\n")
+    with pytest.raises(DataError, match=r"f\.csv:2: repeated feature index 0"):
+        dataio.load_features(p, sparse=True)
+
+
 def test_load_features_sparse_no_cells_rejected(tmp_path):
     p = write(tmp_path, "f.csv", "0,\n1,\n")
     with pytest.raises(DataError, match="no feature cells"):

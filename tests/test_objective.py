@@ -110,6 +110,11 @@ def ball(balls, u):
     return np.flatnonzero(bits[:balls.num_nodes])
 
 
+def coverage_form(balls):
+    """The arrays of the balls' coverage form: the CSR or the bitset."""
+    return balls._csr if balls._bits is None else balls._bits
+
+
 def assert_balls_match_oracle(balls, points, r):
     expect = oracles.feature_balls(points, r)
     for u in range(points.shape[0]):
@@ -322,6 +327,8 @@ def test_gain_queries_match_add(seed):
         state.add(v)
         assert state.moi_value - pre_moi == mg
         assert state.edv_value - pre_edv == pytest.approx(eg, abs=1e-9)
+        if pre_edv == 0.0:  # add sums v's term as gains does, bit for bit
+            assert state.edv_value == eg
         assert mg >= 0
         assert eg >= -1e-12
 
@@ -334,8 +341,10 @@ def test_batched_gains_match_oracle(seed, radius, block_flops, monkeypatch):
     differences after each add, however the product or the bitset gather is
     split into blocks, and a permuted batch gives the permuted gains.
     Radius 0 takes the CSR product and the wider radii the bitset, so both
-    coverage forms are checked. A second state on the same balls reads the
-    same coverage form but starts from its own empty covered set."""
+    coverage forms are checked. Row ``u`` of the state's composed sets is
+    the union of the balls over ``A_u``, and adds write neither it nor the
+    balls. A second state composes its own rows and starts from its own
+    empty covered set."""
     if block_flops < FeatureBalls.BLOCK_FLOPS:
         # the bitset gather shrinks alongside: 1 or 8 one-word rows a block
         monkeypatch.setattr(FeatureBalls, "BLOCK_BYTES", 8 * block_flops)
@@ -343,8 +352,12 @@ def test_batched_gains_match_oracle(seed, radius, block_flops, monkeypatch):
     rng, g, edges, n, m_k, acts, balls, state, oballs, theta, beta = \
         build_state(seed, radius=radius, beta=0.5)
     assert (balls._bits is None) == (radius == 0.0)
-    form = balls._csr if balls._bits is None else balls._bits
-    snapshot = form.copy()
+    assert (state.sets._bits is None) == (radius == 0.0)
+    for u in range(n):
+        expect = set().union(*(oballs[j] for j in activated_by(acts, u)))
+        assert set(ball(state.sets, u).tolist()) == expect
+    snapshots = [form.copy() for form in (coverage_form(balls),
+                                          coverage_form(state.sets))]
     chosen = []
     for _ in range(min(4, n - 1)):
         cands = np.flatnonzero(~state.in_seed)
@@ -366,21 +379,85 @@ def test_batched_gains_match_oracle(seed, radius, block_flops, monkeypatch):
         v = int(rng.choice(cands))
         chosen.append(v)
         state.add(v)
-    # add marks ids covered and writes neither A nor the balls
-    if balls._bits is None:
-        assert (form != snapshot).nnz == 0
-    else:
-        assert np.array_equal(form, snapshot)
+    # add marks ids covered and writes neither the balls nor the unions
+    for form, snapshot in zip((coverage_form(balls),
+                               coverage_form(state.sets)), snapshots):
+        if balls._bits is None:
+            assert (form != snapshot).nnz == 0
+        else:
+            assert np.array_equal(form, snapshot)
     fresh = CoverageState(g, acts, balls, beta)
-    # both states read A as the activation sets hold it
-    assert state._act_ptr is acts.indptr and state._act_rows is acts.indices
-    assert fresh._act_ptr is acts.indptr and fresh._act_rows is acts.indices
-    # the second state shares the coverage form, not the covered set
-    assert (balls._csr if balls._bits is None else balls._bits) is form
+    assert fresh.sets is not state.sets
     assert fresh.covered is not state.covered
+    assert not np.any(fresh.covered)
     f_moi, f_edv = fresh.gains(np.arange(n))
     assert f_moi.tolist() == first[0].tolist()
     assert f_edv.tolist() == first[1].tolist()
+
+
+@pytest.mark.parametrize("small_blocks", [False, True])
+@pytest.mark.parametrize("radius", [0.0, 0.8, np.inf])
+@pytest.mark.parametrize("seed", range(6))
+def test_unions_match_oracle(seed, radius, small_blocks, monkeypatch):
+    """Row ``i`` of ``unions(indptr, rows)`` is the union of the balls of
+    ``rows[indptr[i]:indptr[i + 1]]``, in the balls' own form, for empty
+    groups, repeated rows and groups larger than one block."""
+    if small_blocks:  # one one-word row, or one multiply-add, per block
+        monkeypatch.setattr(FeatureBalls, "BLOCK_BYTES", 8)
+        monkeypatch.setattr(FeatureBalls, "BLOCK_FLOPS", 1)
+    rng, g, _, n, ps, _, _ = make_instance(seed)
+    balls = build_feature_balls(ps, radius)
+    oballs = oracles.feature_balls(ps.propagated_features, radius)
+    sizes = rng.integers(0, 2 * n, size=12)
+    sizes[rng.choice(12, size=4, replace=False)] = 0
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    rows = rng.integers(0, n, size=indptr[-1])
+    sets = balls.unions(indptr, rows)
+    assert (sets._bits is None) == (balls._bits is None) == (radius == 0.0)
+    assert sets.num_nodes == n
+    for i in range(sizes.size):
+        group = rows[indptr[i]:indptr[i + 1]].tolist()
+        expect = set().union(*(oballs[j] for j in group))
+        got = ball(sets, i)
+        assert got.size == len(expect)  # each id listed once
+        assert set(got.tolist()) == expect
+    assert sets.uncovered(sets.empty(), np.arange(sizes.size)).tolist() == \
+        [ball(sets, i).size for i in range(sizes.size)]
+
+
+@pytest.mark.parametrize("radius", [0.0, 7.0])
+def test_unions_memory_follows_output(radius, monkeypatch):
+    """Composing the unions holds the output and one block: gathering
+    every group's ball rows at once would take about 12x the bitset output
+    here. The CSR joins its blocks once, so its peak stays about twice its
+    output (measured: 1.04x the bitset output, 2.2x the CSR output)."""
+    monkeypatch.setattr(FeatureBalls, "BLOCK_BYTES", 1 << 14)
+    monkeypatch.setattr(FeatureBalls, "BLOCK_FLOPS", 1 << 12)
+    rng = np.random.default_rng(4)
+    n, d = 2000, 32
+    pts = rng.normal(size=(n, d))
+    if radius == 0.0:
+        pts[rng.integers(0, n, n)] = pts[rng.integers(0, n, n)]  # duplicates
+    balls = FeatureBalls(pts, radius)
+    assert (balls._bits is None) == (radius == 0.0)
+    sizes = rng.integers(0, 24, size=n)
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    rows = rng.integers(0, n, size=indptr[-1])
+    tracemalloc.start()
+    try:
+        sets = balls.unions(indptr, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if sets._bits is None:
+        out = sets._csr.data.nbytes + sets._csr.indices.nbytes \
+            + sets._csr.indptr.nbytes
+        block = 5 * FeatureBalls.BLOCK_FLOPS
+        assert peak < 2.5 * out + 4 * block
+    else:
+        out = sets._bits.nbytes
+        assert rows.size * balls._bits[0].nbytes > 8 * out
+        assert peak < out + 4 * FeatureBalls.BLOCK_BYTES
 
 
 def test_moi_reduces_to_sigma_when_radius_zero():

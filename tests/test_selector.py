@@ -227,8 +227,8 @@ def test_default_config_scale_lazy_equals_naive():
     x = centers[rng.integers(0, 4, n)] + rng.normal(size=(n, 8))
     ctx = prepare(g, x, SelectionConfig(budget=10))
     state = ctx.fresh_state()
-    assert ctx.balls._bits is not None
-    assert state._act_rows.size > 2 * ctx.balls._block_rows()
+    assert ctx.balls._bits is not None and state.sets._bits is not None
+    assert ctx.pool.size > 2 * state.sets._block_rows()
     naive = select_naive(ctx)
     lazy = select_lazy(ctx)
     assert lazy.seeds == naive.seeds
