@@ -2,18 +2,12 @@
 
 The coverage side activates every node whose normalized influence from the
 seed set strictly exceeds a threshold, then counts the union of
-feature-space balls around the activated nodes. :class:`FeatureBalls`
-builds every ball once, from one KD-tree pair query, and keeps only their
-coverage form: packed bitsets when the balls are dense, a boolean CSR when
-they are sparse, whichever takes fewer bytes. The diffusion side scores the
-expected number of one-hop neighbors activated through shared hyperedges.
-Both are monotone and submodular, so the greedy selector keeps an
-incrementally updated :class:`CoverageState` and scores whole batches of
-candidates without mutation. A state composes each candidate's union of
-activated balls once, in the same form, so a MoI gain reads one row and
-adding a seed marks one row's ids in the state's own covered set; the
-activation sets, the balls and the unions stay fixed. The diffusion gains
-are one sparse mat-vec.
+feature-space balls (:class:`FeatureBalls`) around the activated nodes. The
+diffusion side scores the expected number of one-hop neighbors activated
+through shared hyperedges. Both are monotone and submodular, so the greedy
+selector keeps an incrementally updated :class:`CoverageState` and scores
+whole batches of candidates without mutation: a MoI gain reads one
+precomputed union row, and the diffusion gains are one sparse mat-vec.
 """
 
 from __future__ import annotations
@@ -73,12 +67,12 @@ class FeatureBalls:
     """Radius-``r`` Euclidean neighborhoods in propagated feature space.
 
     Row ``u`` of the coverage form is the ball of node ``u``: the ids
-    within ``radius`` of ``u`` (always including ``u``). Every ball is
-    computed once, at construction: a finite radius from a single KD-tree
-    pair query whatever the dimension, so the transient memory is
-    proportional to the output. An infinite radius packs the one all-ids
-    row once and reads it as every node's row (a row stride of 0), so it
-    stays ``⌈n/64⌉`` words and always takes the bitset form.
+    within ``radius`` of ``u`` (always including ``u``), all computed at
+    construction from one KD-tree pair query whatever the dimension, so
+    the transient memory is proportional to the output. An infinite
+    radius keeps one all-ids bitset row, read as every row (a row stride
+    of 0), and a mask of the live rows (every ball; the unions of
+    non-empty groups), so it stays ``⌈n/64⌉`` words and ``n`` flags.
 
     Only the chosen coverage form is kept, and it is never written:
     :meth:`unions` composes groups of its rows into a new instance of the
@@ -91,9 +85,8 @@ class FeatureBalls:
       uncovered count the popcount of a row and ``~covered``, a union the
       OR of its rows;
     * **CSR** otherwise: a boolean CSR of the rows, a covered set one
-      boolean array, an uncovered count a row of the selected rows'
-      product with ``~covered``, and a union a row of one boolean product
-      with it (the boolean sum lists each id once).
+      boolean array, an uncovered count a row times ``~covered``, and a
+      union a row of one boolean product (its sum lists each id once).
 
     Both bound their transient memory by design: the bitset is packed and
     gathered in blocks of about ``BLOCK_BYTES``, and the product is built
@@ -110,10 +103,11 @@ class FeatureBalls:
         self.radius = float(radius)
         n = self.num_nodes = points.shape[0]
         words = -(-n // 64)
-        self._bits = self._csr = None
+        self._bits = self._csr = self._live = None
         if not math.isfinite(self.radius):
             row = self._pack(words, np.array([0, n]), np.arange(n))
             self._bits = np.broadcast_to(row, (n, words))
+            self._live = np.ones(n, dtype=bool)
             return
         indptr, ids = self._build_index(points)
         if n * words * 8 <= ids.size * 5:
@@ -166,14 +160,14 @@ class FeatureBalls:
             return np.zeros(self.num_nodes, dtype=bool)
         return np.zeros(self._bits.shape[1], dtype=np.uint64)
 
-    def cover(self, covered: np.ndarray, rows) -> int:
-        """Mark the ids of the rows ``rows`` (an id array, or one id) in
-        ``covered``; return the number of covered ids."""
+    def cover(self, covered: np.ndarray, rows: np.ndarray) -> int:
+        """Mark the ids of the rows ``rows`` in ``covered``; return the
+        number of covered ids."""
         if self._bits is None:
-            _, pos = _gather(self._csr.indptr, np.atleast_1d(rows))
+            _, pos = _gather(self._csr.indptr, rows)
             covered[self._csr.indices[pos]] = True
             return int(np.count_nonzero(covered))
-        covered |= self._union(rows) if np.ndim(rows) else self._bits[rows]
+        covered |= self._union(rows)
         return int(np.bitwise_count(covered).sum())
 
     def uncovered(self, covered: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -189,7 +183,7 @@ class FeatureBalls:
         for s in range(0, rows.size, step):
             out[s:s + step] = np.bitwise_count(
                 self._bits[rows[s:s + step]] & free).sum(axis=1)
-        return out
+        return out if self._live is None else out * self._live[rows]
 
     def unions(self, indptr: np.ndarray, rows: np.ndarray) -> "FeatureBalls":
         """The same coverage form, whose row ``i`` is the union of the rows
@@ -200,8 +194,15 @@ class FeatureBalls:
         if self._bits is None:
             out._csr = self._products(indptr, rows)
             return out
-        out._bits = np.zeros((indptr.size - 1, self._bits.shape[1]),
-                             dtype=np.uint64)
+        starts, words = indptr[:-1], self._bits.shape[1]
+        some = starts < indptr[1:]  # an empty group stays 0
+        if self._live is not None:  # a live row is the one shared row
+            out._live = np.zeros(starts.size, dtype=bool)
+            out._live[some] = np.logical_or.reduceat(
+                self._live[rows], starts[some])
+            out._bits = np.broadcast_to(self._bits[0], (starts.size, words))
+            return out
+        out._bits = np.zeros((starts.size, words), dtype=np.uint64)
         step = self._block_rows()
         lo = 0
         while lo < indptr.size - 1:  # a group over the bound goes alone
@@ -211,10 +212,9 @@ class FeatureBalls:
             if hi == lo + 1:
                 out._bits[lo] = self._union(rows[p:q])
             else:
-                starts = indptr[lo:hi]
-                some = starts < indptr[lo + 1:hi + 1]  # an empty group stays 0
-                out._bits[lo:hi][some] = np.bitwise_or.reduceat(
-                    self._bits[rows[p:q]], starts[some] - p, axis=0)
+                b = some[lo:hi]
+                out._bits[lo:hi][b] = np.bitwise_or.reduceat(
+                    self._bits[rows[p:q]], starts[lo:hi][b] - p, axis=0)
             lo = hi
         return out
 
@@ -224,6 +224,8 @@ class FeatureBalls:
 
     def _union(self, rows: np.ndarray) -> np.ndarray:
         """OR of the bitset rows ``rows``, gathered in blocks."""
+        if self._live is not None:
+            rows = rows[self._live[rows]]
         step = self._block_rows()
         union = np.zeros(self._bits.shape[1], dtype=np.uint64)
         for s in range(0, rows.size, step):
@@ -267,12 +269,11 @@ class CoverageState:
     MoI is plain set coverage: seeding ``c`` covers ``U_c``, the union of
     the balls of the nodes in ``A_c``. Neither ``A`` nor the balls change
     during a selection, so the state composes every ``U_c`` once into
-    ``sets`` (:meth:`FeatureBalls.unions`; row ``c`` is ``U_c``, and at an
-    infinite radius all ``n`` rows are real) and keeps ``covered``, its
-    own covered set. A MoI gain counts one row's uncovered ids, and
-    :meth:`add` marks one row covered; ``sets`` is never written. The EDV
-    gains are one mat-vec of the adjacency-count CSR against the evasion
-    probabilities of the non-seed nodes.
+    ``sets`` (:meth:`FeatureBalls.unions`; row ``c`` is ``U_c``) and keeps
+    ``covered``, its own covered set. A MoI gain counts one row's
+    uncovered ids, and :meth:`add` marks one row covered; ``sets`` is never
+    written. The EDV gains are one mat-vec of the adjacency-count CSR
+    against the evasion probabilities of the non-seed nodes.
 
     Single-writer; :meth:`gains` is a pure read and may be evaluated for
     any number of candidates against a frozen state.
@@ -332,7 +333,7 @@ class CoverageState:
             raise DataError(f"node id {v} out of range")
         if self.in_seed[v]:
             raise DataError(f"node {v} is already a seed")
-        self.moi_value = self.sets.cover(self.covered, v)
+        self.moi_value = self.sets.cover(self.covered, np.array([v]))
 
         adj_ptr, adj_ids, adj_counts = self._adj
         nb = adj_ids[adj_ptr[v]:adj_ptr[v + 1]]

@@ -102,10 +102,13 @@ def test_activation_memory_follows_output():
 
 def ball(balls, u):
     """Sorted ids of the ball of node ``u``, read from its coverage form:
-    row ``u`` of the CSR, or bitset row ``u`` unpacked."""
+    row ``u`` of the CSR, or bitset row ``u`` unpacked, unless the mask of
+    live rows leaves it out (empty)."""
     if balls._bits is None:
         ptr = balls._csr.indptr
         return balls._csr.indices[ptr[u]:ptr[u + 1]]
+    if balls._live is not None and not balls._live[u]:
+        return np.array([], dtype=np.int64)
     bits = np.unpackbits(balls._bits[u].view(np.uint8), bitorder="little")
     return np.flatnonzero(bits[:balls.num_nodes])
 
@@ -353,6 +356,8 @@ def test_batched_gains_match_oracle(seed, radius, block_flops, monkeypatch):
         build_state(seed, radius=radius, beta=0.5)
     assert (balls._bits is None) == (radius == 0.0)
     assert (state.sets._bits is None) == (radius == 0.0)
+    if radius == np.inf:  # one shared row, not n copies
+        assert state.sets._bits.strides[0] == 0
     for u in range(n):
         expect = set().union(*(oballs[j] for j in activated_by(acts, u)))
         assert set(ball(state.sets, u).tolist()) == expect
@@ -414,6 +419,8 @@ def test_unions_match_oracle(seed, radius, small_blocks, monkeypatch):
     rows = rng.integers(0, n, size=indptr[-1])
     sets = balls.unions(indptr, rows)
     assert (sets._bits is None) == (balls._bits is None) == (radius == 0.0)
+    if radius == np.inf:  # one shared row, not a row per group
+        assert sets._bits.strides[0] == 0
     assert sets.num_nodes == n
     for i in range(sizes.size):
         group = rows[indptr[i]:indptr[i + 1]].tolist()
@@ -423,14 +430,18 @@ def test_unions_match_oracle(seed, radius, small_blocks, monkeypatch):
         assert set(got.tolist()) == expect
     assert sets.uncovered(sets.empty(), np.arange(sizes.size)).tolist() == \
         [ball(sets, i).size for i in range(sizes.size)]
+    assert sets.cover(sets.empty(), np.arange(sizes.size)) == \
+        len(set().union(*(oballs[j] for j in rows.tolist())))
 
 
-@pytest.mark.parametrize("radius", [0.0, 7.0])
+@pytest.mark.parametrize("radius", [0.0, 7.0, np.inf])
 def test_unions_memory_follows_output(radius, monkeypatch):
     """Composing the unions holds the output and one block: gathering
     every group's ball rows at once would take about 12x the bitset output
     here. The CSR joins its blocks once, so its peak stays about twice its
-    output (measured: 1.04x the bitset output, 2.2x the CSR output)."""
+    output (measured: 1.04x the bitset output, 2.2x the CSR output). An
+    infinite radius keeps its one shared row and a mask of the non-empty
+    groups, far below a row per group."""
     monkeypatch.setattr(FeatureBalls, "BLOCK_BYTES", 1 << 14)
     monkeypatch.setattr(FeatureBalls, "BLOCK_FLOPS", 1 << 12)
     rng = np.random.default_rng(4)
@@ -454,6 +465,11 @@ def test_unions_memory_follows_output(radius, monkeypatch):
             + sets._csr.indptr.nbytes
         block = 5 * FeatureBalls.BLOCK_FLOPS
         assert peak < 2.5 * out + 4 * block
+    elif radius == np.inf:  # the gathered mask and the group positions
+        assert sets._bits.strides[0] == 0
+        bound = rows.size + 16 * sizes.size
+        assert 8 * bound < sizes.size * balls._bits[0].nbytes  # a row each
+        assert peak < bound
     else:
         out = sets._bits.nbytes
         assert rows.size * balls._bits[0].nbytes > 8 * out
