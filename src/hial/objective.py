@@ -2,12 +2,13 @@
 
 The coverage side activates every node whose normalized influence from the
 seed set strictly exceeds a threshold, then counts the union of
-feature-space balls (:class:`FeatureBalls`) around the activated nodes. The
-diffusion side scores the expected number of one-hop neighbors activated
-through shared hyperedges. Both are monotone and submodular, so the greedy
-selector keeps an incrementally updated :class:`CoverageState` and scores
-whole batches of candidates without mutation: a MoI gain reads one
-precomputed union row, and the diffusion gains are one sparse mat-vec.
+feature-space balls (:class:`FeatureBalls`, from blocked distance products
+or, when sparse, a KD-tree) around the activated nodes. The diffusion side
+scores the expected number of one-hop neighbors activated through shared
+hyperedges. Both are monotone and submodular, so the greedy selector keeps
+an incrementally updated :class:`CoverageState` and scores whole batches
+of candidates without mutation: a MoI gain reads one precomputed union
+row, and the diffusion gains are one sparse mat-vec.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError, DataError
 from .hypergraph import Hypergraph
@@ -66,13 +66,13 @@ def build_activation_sets(ic: InfluenceColumns, theta: float) -> ActivationSets:
 class FeatureBalls:
     """Radius-``r`` Euclidean neighborhoods in propagated feature space.
 
-    Row ``u`` of the coverage form is the ball of node ``u``: the ids
-    within ``radius`` of ``u`` (always including ``u``), all computed at
-    construction from one KD-tree pair query whatever the dimension, so
-    the transient memory is proportional to the output. An infinite
-    radius keeps one all-ids bitset row, read as every row (a row stride
-    of 0), and a mask of the live rows (every ball; the unions of
-    non-empty groups), so it stays ``⌈n/64⌉`` words and ``n`` flags.
+    Row ``u`` of the coverage form is the ball of node ``u``, the ids ``v``
+    with ``Σ_k (x_u,k − x_v,k)² ≤ r²``, built straight into the form that
+    the share of pairs within ``radius`` (all, or ``SAMPLE_PAIRS`` drawn)
+    picks: bitsets from blocked distance products rechecked near ``r``, or
+    the CSR of a KD-tree pair query. An infinite radius (or ``r²`` past
+    float64) keeps one all-ids bitset row, read as every row (stride 0),
+    and a mask of the live rows (every ball; non-empty unions), n/64 words.
 
     Only the chosen coverage form is kept, and it is never written:
     :meth:`unions` composes groups of its rows into a new instance of the
@@ -88,13 +88,14 @@ class FeatureBalls:
       boolean array, an uncovered count a row times ``~covered``, and a
       union a row of one boolean product (its sum lists each id once).
 
-    Both bound their transient memory by design: the bitset is packed and
+    Both bound their transient memory by design: the bitset is filled and
     gathered in blocks of about ``BLOCK_BYTES``, and the product is built
     in row blocks of at most ``BLOCK_FLOPS`` multiply-adds.
     """
 
     BLOCK_FLOPS = 1 << 20
     BLOCK_BYTES = 1 << 20
+    SAMPLE_PAIRS = 4096
 
     def __init__(self, points: np.ndarray, radius: float):
         if not radius >= 0:
@@ -104,20 +105,65 @@ class FeatureBalls:
         n = self.num_nodes = points.shape[0]
         words = -(-n // 64)
         self._bits = self._csr = self._live = None
-        if not math.isfinite(self.radius):
-            row = self._pack(words, np.array([0, n]), np.arange(n))
-            self._bits = np.broadcast_to(row, (n, words))
+        self._r2 = self.radius * self.radius  # ** would raise on overflow
+        sq = squared_norms(points) if math.isfinite(self.radius) else None
+        if not math.isfinite(self._r2):  # every id, whatever the distance
+            row = np.packbits(np.arange(64 * words) < n, bitorder="little")
+            self._bits = np.broadcast_to(row.view(np.uint64), (n, words))
             self._live = np.ones(n, dtype=bool)
-            return
-        indptr, ids = self._build_index(points)
-        if n * words * 8 <= ids.size * 5:
-            self._bits = self._pack(words, indptr, ids)
+        elif n * words * 8 <= 5 * self._estimate_nnz(points):
+            self._bits = self._fill(points, sq, words)
         else:
+            indptr, ids = self._build_index(points)
             self._csr = sp.csr_matrix(
                 (np.ones(ids.size, dtype=bool), ids, indptr), shape=(n, n))
 
+    def _within(self, x: np.ndarray, u: np.ndarray, v: np.ndarray):
+        """Whether each pair ``(u[i], v[i])`` is within the radius."""
+        out = np.empty(u.size, dtype=bool)
+        step = max(1, self.BLOCK_BYTES // (8 * max(1, x.shape[1])))
+        for s in range(0, u.size, step):
+            diff = x[u[s:s + step]] - x[v[s:s + step]]
+            out[s:s + step] = np.einsum("ij,ij->i", diff, diff) <= self._r2
+        return out
+
+    def _estimate_nnz(self, points: np.ndarray) -> int:
+        """The balls' id count from the share of pairs within the radius."""
+        n, k = self.num_nodes, self.SAMPLE_PAIRS
+        if n * (n - 1) // 2 <= k:
+            u, v = np.triu_indices(n, 1)
+        else:
+            u, v = np.random.default_rng(0).integers([[0], [1]], n, (2, k))
+            v = (u + v) % n  # never u itself
+        hits = np.count_nonzero(self._within(points, u, v))
+        return n + hits * n * (n - 1) // max(1, u.size)
+
+    def _fill(self, x: np.ndarray, sq: np.ndarray, words: int) -> np.ndarray:
+        """Bitsets from ``BLOCK_BYTES`` blocks of |a|²+|b|²-2a·b in products
+        of ≤ 2^18 multiply-adds, which OpenBLAS keeps on this thread (waking
+        its workers per block stalls a busy host); a pair within ``tol`` of
+        r² (both forms' rounding bound) is decided by :meth:`_within`."""
+        (n, d), xt = x.shape, -2.0 * x.T
+        tol = 4 * np.finfo(np.float64).eps * (
+            (4 * d + 6) * float(sq.max(initial=0.0)) + (d + 1) * self._r2)
+        out = np.zeros((n, 8 * words), dtype=np.uint8)
+        m = max(1, self.BLOCK_BYTES // (8 * max(1, n)))  # rows per block
+        c = max(1, (1 << 18) // (m * max(1, d)))  # columns per product
+        for a in range(0, n, m):
+            dist = np.empty((min(m, n - a), n))
+            for b in range(0, n, c):  # exactly -2 times the products
+                np.matmul(x[a:a + m], xt[:, b:b + c], out=dist[:, b:b + c])
+            dist += sq[a:a + m, None]
+            dist += sq
+            hit = dist <= self._r2 - tol
+            k = np.flatnonzero(~(hit | (dist > self._r2 + tol)))  # or NaN
+            hit.flat[k] = self._within(x, k // n + a, k % n)
+            out[a:a + m, :-(-n // 8)] = np.packbits(hit, 1, bitorder="little")
+        return out.view(np.uint64)
+
     def _build_index(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """CSR row pointer and concatenated sorted rows of every ball."""
+        from scipy.spatial import cKDTree  # ~0.2 s to import; sparse only
         n = self.num_nodes
         pairs = cKDTree(points).query_pairs(self.radius, output_type="ndarray")
         # key u*n + v for v in ball(u): both orders of every pair and each
@@ -135,22 +181,6 @@ class FeatureBalls:
         indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
         np.remainder(keys, n, out=keys)
         return indptr, keys.astype(np.int32)
-
-    def _pack(self, words: int, ptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """The CSR rows ``(ptr, ids)`` as bitsets: bit ``j % 64`` of word
-        ``j // 64`` of row ``r`` is set iff ``j`` is in row ``r``. Packed
-        from boolean blocks of about ``BLOCK_BYTES``."""
-        n_rows = ptr.size - 1
-        bits = np.zeros((n_rows, words), dtype=np.uint64)
-        out = bits.view(np.uint8)
-        step = max(1, self.BLOCK_BYTES // (64 * words))
-        for r0 in range(0, n_rows, step):
-            r1 = min(n_rows, r0 + step)
-            block = np.zeros((r1 - r0, 64 * words), dtype=bool)
-            block[np.repeat(np.arange(r1 - r0), np.diff(ptr[r0:r1 + 1])),
-                  ids[ptr[r0]:ptr[r1]]] = True
-            out[r0:r1] = np.packbits(block, axis=1, bitorder="little")
-        return bits
 
     # -- coverage ---------------------------------------------------------
 
@@ -251,6 +281,14 @@ class FeatureBalls:
             lo = hi
         # the blocks and their joined copy: twice the output, briefly
         return sp.vstack(blocks, format="csr")
+
+
+def squared_norms(points: np.ndarray) -> np.ndarray:
+    """Squared row norms; ``DataError`` unless every squared distance fits."""
+    sq = np.einsum("ij,ij->i", points, points)
+    if not math.isfinite(4 * float(sq.max(initial=0.0))):
+        raise DataError("squared feature distances overflow float64")
+    return sq
 
 
 def build_feature_balls(ps: PropagationState, radius: float) -> FeatureBalls:

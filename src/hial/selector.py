@@ -179,6 +179,8 @@ def prepare(g: Hypergraph, features: np.ndarray,
     pool = cfg.resolve_pool(g.num_nodes)
     t = propagation.build_transition(g, cfg.backend)
     ps = propagation.propagate(t, features, cfg.k, cfg.alpha)
+    if cfg.radius != np.inf or not np.isfinite(ps.propagated_features).all():
+        objective.squared_norms(ps.propagated_features)  # or DataError
     ic = propagation.influence_columns(t, cfg.k, cfg.alpha)
     theta = _resolve_theta(cfg, ic, pool)
     radius = _resolve_radius(cfg, ps.propagated_features)

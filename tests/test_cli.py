@@ -367,6 +367,65 @@ def test_exit_code_nan_theta_or_radius(capsys):
         assert flag[2:] in err
 
 
+def test_exit_code_overflowing_features(tmp_path, capsys):
+    """Features whose squared distances overflow float64 are bad data
+    (exit 3), whatever the finite radius; an infinite radius measures no
+    distance and still selects."""
+    f = tmp_path / "huge.csv"
+    f.write_text("".join(f"{i},{(-1) ** i * 1e200!r},{i * 1e199!r}\n"
+                         for i in range(12)))
+    args = ["select", "--hyperedges", str(SAMPLE / "toy.hyperedges"),
+            "--features", str(f), "--budget", "1", "--radius"]
+    for radius in ("1e201", "auto", "0.5"):
+        code, _, err = run(args + [radius], capsys)
+        assert code == cli.EXIT_DATA, radius
+        assert "overflow float64" in err
+    assert run(args + ["inf"], capsys)[0] == 0
+
+
+# runs `python -m hial.cli` (runpy's alter_sys mirrors -m) and then
+# reports whether the run loaded scipy.spatial
+IMPORT_PROBE = """
+import runpy, sys
+sys.argv = ["hial", *sys.argv[1:]]
+try:
+    runpy.run_module("hial.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print("exit", exc.code)
+print("scipy.spatial" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("radius,loaded", [("auto", False), ("0", True)])
+def test_kd_tree_loaded_only_for_sparse_balls(tmp_path, radius, loaded):
+    """A default-config run fills its dense balls without loading
+    scipy.spatial (about 0.2 s and 16 MiB); a zero radius gives sparse
+    balls, which still take the KD-tree. Run in a child process, which
+    has imported nothing yet."""
+    rng = np.random.default_rng(0)
+    n = 300
+    edges = tmp_path / "g.hyperedges"
+    edges.write_text("".join(
+        " ".join(map(str, rng.integers(0, n, rng.poisson(4) + 2))) + "\n"
+        for _ in range(150)))
+    x = rng.normal(size=(4, 8))[rng.integers(0, 4, n)] * 3 \
+        + rng.normal(size=(n, 8))
+    feats = tmp_path / "g.features.csv"
+    feats.write_text("".join(f"{i}," + ",".join(map(repr, row)) + "\n"
+                             for i, row in enumerate(x.tolist())))
+    out = tmp_path / "res.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, "select", "--hyperedges",
+         str(edges), "--features", str(feats), "--radius", radius,
+         "--output", str(out)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["exit 0", str(loaded)]
+    assert len(json.loads(out.read_text())["seeds"]) == 10
+
+
 def test_infinite_radius_accepted(capsys):
     code, stdout, _ = run(toy_args(["--budget", "2", "--radius", "inf"]),
                           capsys)

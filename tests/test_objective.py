@@ -15,7 +15,7 @@ from hial import (
     propagate,
     unified_objective,
 )
-from hial.objective import CoverageState, FeatureBalls
+from hial.objective import CoverageState, FeatureBalls, squared_norms
 import oracles
 
 
@@ -164,35 +164,104 @@ def test_balls_match_double_loop(seed, d):
     assert_balls_match_oracle(balls, ps.propagated_features, r)
 
 
-@pytest.mark.parametrize("r", [0.0, 1.0, np.sqrt(2.0), 2.0])
-def test_balls_exact_ties_on_integer_grid(r):
+# the shifted grid keeps every difference exact, but its squared norms
+# and products pass 2^53, so their rounding (up to a few units) dwarfs the
+# unit spacing of the squared distances: only the recheck decides (below
+# 2^26, as at 2^20, the product form would still be exact)
+@pytest.mark.parametrize("r,shift", [
+    *[pytest.param(r, 0.0, id=str(r)) for r in (0.0, 1.0, np.sqrt(2.0), 2.0)],
+    *[pytest.param(r, 2.0 ** 27, id=f"{r}-shifted")
+      for r in (0.0, 1.0, np.sqrt(2.0), 2.0)]])
+def test_balls_exact_ties_on_integer_grid(r, shift):
     """Grid points sit exactly on the radius and some coincide: a distance
     equal to the radius is inside, and duplicates share their balls."""
     rng = np.random.default_rng(13)
     grid = np.stack(np.meshgrid(*[np.arange(3.0)] * 3), -1).reshape(-1, 3)
     pts = np.concatenate([grid, grid[rng.choice(len(grid), 8)]])
-    pts = pts[rng.permutation(len(pts))]
-    assert_balls_match_oracle(FeatureBalls(pts, r), pts, r)
+    pts = pts[rng.permutation(len(pts))] + shift
+    balls = FeatureBalls(pts, r)
+    assert (balls._bits is None) == (r == 0.0)  # r > 0 fills the bitset
+    assert_balls_match_oracle(balls, pts, r)
 
 
-def test_balls_memory_follows_output():
-    """The build holds the pairs and the sort keys, never a block x n x d
-    distance tensor, and packs the bitset form in bounded blocks, so the
-    traced peak of its numpy buffers stays a small multiple of the input
-    and the index (2.8x here, where one packing block holds every row)."""
-    rng = np.random.default_rng(12)
-    n, d = 400, 32
-    pts = rng.normal(size=(n, d))
+@pytest.mark.parametrize("d", [4, 8, 32])
+def test_fill_matches_pair_query(d):
+    """The bitset fill and the KD-tree pair query, run on the same points,
+    give the same rows, for radii that choose either form."""
+    rng = np.random.default_rng(d)
+    n = 300
+    pts = rng.normal(size=(4, d))[rng.integers(0, 4, n)] * 2 \
+        + rng.normal(size=(n, d))
+    dist = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    words = -(-n // 64)
+    for q, dense in ((0.01, False), (0.2, True)):
+        r = float(np.quantile(dist[np.triu_indices(n, 1)], q))
+        balls = FeatureBalls(pts, r)
+        assert (balls._bits is not None) == dense
+        bits = balls._fill(pts, squared_norms(pts), words)
+        indptr, ids = balls._build_index(pts)
+        for u in range(n):
+            row = np.unpackbits(bits[u].view(np.uint8), bitorder="little")
+            assert np.flatnonzero(row).tolist() \
+                == ids[indptr[u]:indptr[u + 1]].tolist()
+            assert np.flatnonzero(row[:n]).tolist() \
+                == np.flatnonzero(dist[u] <= r).tolist()
+
+
+def assert_build_memory_follows_output(monkeypatch, pts, radius, dense):
+    """The traced peak of the build's numpy buffers stays below 4 times the
+    input plus the int32 id CSR of its balls, with a fill block
+    (``BLOCK_BYTES``) small beside the output."""
+    import scipy.spatial  # noqa: F401 -- loading it is not the build's cost
+    monkeypatch.setattr(FeatureBalls, "BLOCK_BYTES", 1 << 14)
+    n = pts.shape[0]
     tracemalloc.start()
     try:
-        balls = FeatureBalls(pts, 7.0)
+        balls = FeatureBalls(pts, radius)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert (balls._bits is not None) == dense
     nnz = sum(ball(balls, u).size for u in range(n))
     assert 2 * n < nnz < n * n  # neither empty nor full
     held = pts.nbytes + 8 * (n + 1) + 4 * nnz  # the int32 id CSR's bytes
     assert peak < 4 * held
+
+
+def test_balls_memory_follows_output(monkeypatch):
+    """The fill holds one block of distances and never a pair array, sort
+    keys or a block x n x d difference tensor (0.79x measured)."""
+    pts = np.random.default_rng(12).normal(size=(400, 32))
+    assert_build_memory_follows_output(monkeypatch, pts, 7.0, dense=True)
+
+
+def test_csr_balls_memory_follows_output(monkeypatch):
+    """The KD-tree build holds its pairs and sort keys, proportional to
+    the output (1.57x measured, most of it the 4096 sampled pairs that
+    chose the form). Radius 0.3 holds 2-11 ids per ball on these points,
+    so it takes the CSR."""
+    pts = np.random.default_rng(12).normal(size=(400, 32)) * 0.055
+    assert_build_memory_follows_output(monkeypatch, pts, 0.3, dense=False)
+
+
+@pytest.mark.parametrize("value,radius", [
+    (1e200, 1e201), (1e200, 1.0), (1e308, 1.0), (np.inf, 1.0)])
+def test_balls_overflowing_features_rejected(value, radius):
+    """Squared distances past float64 would drop even ``u`` from its own
+    ball, so they raise DataError; an infinite radius measures none."""
+    pts = np.full((4, 3), value) * [[1.0], [-1.0], [0.5], [0.25]]
+    with pytest.raises(DataError, match="overflow"):
+        FeatureBalls(pts, radius)
+    balls = FeatureBalls(pts, np.inf)
+    assert all(ball(balls, u).tolist() == [0, 1, 2, 3] for u in range(4))
+
+
+def test_balls_radius_squared_past_float64_covers_all():
+    """``r²`` overflows to inf (``r ** 2`` would raise), so every ball
+    holds every id."""
+    pts = np.random.default_rng(5).normal(size=(6, 3))
+    balls = FeatureBalls(pts, 1e201)
+    assert all(ball(balls, u).tolist() == list(range(6)) for u in range(6))
 
 
 # -- EDV ----------------------------------------------------------------
