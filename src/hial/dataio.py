@@ -11,6 +11,8 @@ File formats:
 * splits file — JSON with ``"train"`` / ``"test"`` lists of external ids.
 * result document — JSON with stable key order.
 
+Every input file is read as UTF-8, whatever the locale.
+
 External ids may be arbitrary strings; dense integer ids are assigned by
 sorting the external ids (numerically when every id parses as an integer).
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,10 +60,22 @@ class Dataset:
     test_nodes: np.ndarray | None = None
 
 
+@contextmanager
+def _open_text(path: str | Path):
+    """An input file opened as UTF-8 text, whatever the locale; a byte that
+    is not UTF-8 raises :class:`DataError` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        raise DataError(f"{path}: not UTF-8 text ({bad!r})") from None
+
+
 def load_hypergraph(path: str | Path) -> list[list[str]]:
     """Parse a hyperedge-list file into lists of external node ids."""
     edges: list[list[str]] = []
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -86,7 +101,7 @@ def load_features(path: str | Path,
         return _load_features_sparse(path)
     feats: dict[str, np.ndarray] = {}
     width = None
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for lineno, row in enumerate(csv.reader(fh), 1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -111,7 +126,7 @@ def load_features(path: str | Path,
 def _load_features_sparse(path: str | Path) -> dict[str, np.ndarray]:
     entries: dict[str, dict[int, float]] = {}
     dim = 0
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for lineno, row in enumerate(csv.reader(fh), 1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -156,7 +171,7 @@ def _load_features_sparse(path: str | Path) -> dict[str, np.ndarray]:
 def load_labels(path: str | Path) -> dict[str, int]:
     """Parse an ``id,class`` CSV."""
     labels: dict[str, int] = {}
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for lineno, row in enumerate(csv.reader(fh), 1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -176,7 +191,7 @@ def load_labels(path: str | Path) -> dict[str, int]:
 
 
 def load_splits(path: str | Path) -> dict[str, list[str]]:
-    with open(path) as fh:
+    with _open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -293,7 +308,7 @@ def write_result(result: SelectionResult, path: str | Path,
 def read_result(path: str | Path) -> dict:
     """Parse a result document written by :func:`write_result`."""
     try:
-        with open(path) as fh:
+        with _open_text(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid result document: {exc}") from None

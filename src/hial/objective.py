@@ -88,12 +88,9 @@ class FeatureBalls:
       boolean array, an uncovered count a row times ``~covered``, and a
       union a row of one boolean product (its sum lists each id once).
 
-    Both bound their transient memory by design: the bitset is filled and
-    gathered in blocks of about ``BLOCK_BYTES``, and the product is built
-    in row blocks of at most ``BLOCK_FLOPS`` multiply-adds.
+    The bitset is filled and gathered in blocks of about ``BLOCK_BYTES``.
     """
 
-    BLOCK_FLOPS = 1 << 20
     BLOCK_BYTES = 1 << 20
     SAMPLE_PAIRS = 4096
 
@@ -114,9 +111,7 @@ class FeatureBalls:
         elif n * words * 8 <= 5 * self._estimate_nnz(points):
             self._bits = self._fill(points, sq, words)
         else:
-            indptr, ids = self._build_index(points)
-            self._csr = sp.csr_matrix(
-                (np.ones(ids.size, dtype=bool), ids, indptr), shape=(n, n))
+            self._csr = self._build_index(points)
 
     def _within(self, x: np.ndarray, u: np.ndarray, v: np.ndarray):
         """Whether each pair ``(u[i], v[i])`` is within the radius."""
@@ -161,26 +156,17 @@ class FeatureBalls:
             out[a:a + m, :-(-n // 8)] = np.packbits(hit, 1, bitorder="little")
         return out.view(np.uint64)
 
-    def _build_index(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """CSR row pointer and concatenated sorted rows of every ball."""
+    def _build_index(self, points: np.ndarray) -> sp.csr_matrix:
+        """Boolean CSR of every ball: both orders of each KD-tree pair and
+        each node's own id. A sum of canonical CSRs is canonical, so every
+        row lists its ids sorted and once."""
         from scipy.spatial import cKDTree  # ~0.2 s to import; sparse only
         n = self.num_nodes
         pairs = cKDTree(points).query_pairs(self.radius, output_type="ndarray")
-        # key u*n + v for v in ball(u): both orders of every pair and each
-        # node's own id; sorted, the keys list every row's ids in order
-        m = pairs.shape[0]
-        u, v = pairs.T
-        keys = np.empty(2 * m + n, dtype=np.int64)
-        np.multiply(u, n, out=keys[:m])
-        keys[:m] += v
-        np.multiply(v, n, out=keys[m:2 * m])
-        keys[m:2 * m] += u
-        del pairs, u, v  # only the keys stay alive through the sort
-        np.multiply(np.arange(n, dtype=np.int64), n + 1, out=keys[2 * m:])
-        keys.sort()
-        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-        np.remainder(keys, n, out=keys)
-        return indptr, keys.astype(np.int32)
+        upper = sp.csr_matrix(
+            (np.ones(pairs.shape[0], dtype=bool), pairs.T), shape=(n, n))
+        del pairs  # the sums need only the CSR
+        return upper + upper.T + sp.identity(n, dtype=bool, format="csr")
 
     # -- coverage ---------------------------------------------------------
 
@@ -217,12 +203,15 @@ class FeatureBalls:
 
     def unions(self, indptr: np.ndarray, rows: np.ndarray) -> "FeatureBalls":
         """The same coverage form, whose row ``i`` is the union of the rows
-        ``rows[indptr[i]:indptr[i + 1]]``. Composed in blocks of about
-        ``BLOCK_BYTES`` of gathered bitset rows, or of at most
-        ``BLOCK_FLOPS`` multiply-adds of the boolean product."""
+        ``rows[indptr[i]:indptr[i + 1]]``: the bitset OR of blocks of about
+        ``BLOCK_BYTES`` of gathered rows, or one boolean product of the
+        groups' indicator CSR and the balls, whose sum lists each id once."""
         out = copy.copy(self)
         if self._bits is None:
-            out._csr = self._products(indptr, rows)
+            groups = sp.csr_matrix(
+                (np.ones(rows.size, dtype=bool), rows, indptr),
+                shape=(indptr.size - 1, self.num_nodes))
+            out._csr = groups @ self._csr
             return out
         starts, words = indptr[:-1], self._bits.shape[1]
         some = starts < indptr[1:]  # an empty group stays 0
@@ -261,26 +250,6 @@ class FeatureBalls:
         for s in range(0, rows.size, step):
             union |= np.bitwise_or.reduce(self._bits[rows[s:s + step]], axis=0)
         return union
-
-    def _products(self, indptr: np.ndarray, rows: np.ndarray) -> sp.csr_matrix:
-        u = self._csr
-        # flops[i]: multiply-adds of the product rows of the first i groups
-        flops = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(np.diff(u.indptr)[rows], out=flops[1:])
-        flops = flops[indptr]
-        blocks = []
-        lo = 0
-        while lo < indptr.size - 1:  # a group over budget gets its own block
-            hi = max(lo + 1, int(np.searchsorted(
-                flops, flops[lo] + self.BLOCK_FLOPS, side="right")) - 1)
-            p, q = indptr[lo], indptr[hi]
-            block = sp.csr_matrix(
-                (np.ones(q - p, dtype=bool), rows[p:q], indptr[lo:hi + 1] - p),
-                shape=(hi - lo, u.shape[0]))
-            blocks.append(block @ u)  # the boolean sum lists each id once
-            lo = hi
-        # the blocks and their joined copy: twice the output, briefly
-        return sp.vstack(blocks, format="csr")
 
 
 def squared_norms(points: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ identical seed sequences.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -58,6 +59,12 @@ class SelectionConfig:
     rng_seed: int = 0
 
     def validate(self, num_nodes: int) -> None:
+        for name in ("budget", "k", "rng_seed"):
+            try:  # any integer type, numpy's included
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got "
+                                  f"{getattr(self, name)!r}") from None
         pool = self.resolve_pool(num_nodes)
         if not 1 <= self.budget <= pool.size:
             raise ConfigError(

@@ -231,6 +231,38 @@ def test_exit_code_directory_as_file(tmp_path, capsys):
     assert str(tmp_path) in err
 
 
+@pytest.mark.parametrize("flag,sample", [
+    ("--hyperedges", "toy.hyperedges"), ("--features", "toy.features.csv")])
+def test_exit_code_non_utf8_input(tmp_path, capsys, flag, sample):
+    """A byte that is not UTF-8 exits with the data error code and one
+    line naming the file, not a traceback."""
+    f = tmp_path / "bad"
+    f.write_bytes((SAMPLE / sample).read_bytes() + b"\xff\n")
+    code, stdout, err = run(toy_args(["--budget", "1", flag, str(f)]),
+                            capsys)
+    assert code == cli.EXIT_DATA
+    assert stdout == ""
+    assert err == f"error: {f}: not UTF-8 text (b'\\xff')\n"
+
+
+def test_utf8_input_under_ascii_locale(tmp_path):
+    """Input files decode as UTF-8 whatever the locale: a non-ASCII
+    comment loads in a child process whose locale encoding is ASCII."""
+    edges = tmp_path / "g.hyperedges"
+    edges.write_bytes("# café network\n".encode("utf-8")
+                      + (SAMPLE / "toy.hyperedges").read_bytes())
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-m", "hial.cli", "stats",
+                           "--hyperedges", str(edges), "--features",
+                           str(SAMPLE / "toy.features.csv")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "nodes: 12" in proc.stdout
+
+
 def test_exit_code_negative_seed(capsys):
     code, _, err = run(toy_args(["--budget", "1", "--seed", "-1"]), capsys)
     assert code == cli.EXIT_CONFIG

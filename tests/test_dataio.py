@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -176,3 +177,16 @@ def test_read_result_invalid_json(tmp_path):
     p = write(tmp_path, "bad.json", "{nope")
     with pytest.raises(DataError, match="invalid result document"):
         dataio.read_result(p)
+
+
+@pytest.mark.parametrize("loader", [
+    dataio.load_hypergraph, dataio.load_features,
+    lambda p: dataio.load_features(p, sparse=True), dataio.load_labels,
+    dataio.load_splits, dataio.read_result],
+    ids=["hyperedges", "features", "sparse", "labels", "splits", "result"])
+def test_non_utf8_input_rejected(tmp_path, loader):
+    """A byte that is not UTF-8 raises DataError naming the file."""
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"0,1\n1,\xff\n")
+    with pytest.raises(DataError, match=f"{re.escape(str(p))}: not UTF-8"):
+        loader(p)

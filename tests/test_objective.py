@@ -199,7 +199,9 @@ def test_fill_matches_pair_query(d):
         balls = FeatureBalls(pts, r)
         assert (balls._bits is not None) == dense
         bits = balls._fill(pts, squared_norms(pts), words)
-        indptr, ids = balls._build_index(pts)
+        csr = balls._build_index(pts)
+        assert csr.has_canonical_format
+        indptr, ids = csr.indptr, csr.indices
         for u in range(n):
             row = np.unpackbits(bits[u].view(np.uint8), bitorder="little")
             assert np.flatnonzero(row).tolist() \
@@ -236,8 +238,8 @@ def test_balls_memory_follows_output(monkeypatch):
 
 
 def test_csr_balls_memory_follows_output(monkeypatch):
-    """The KD-tree build holds its pairs and sort keys, proportional to
-    the output (1.57x measured, most of it the 4096 sampled pairs that
+    """The KD-tree build holds its pairs and the summed CSRs, proportional
+    to the output (1.57x measured, most of it the 4096 sampled pairs that
     chose the form). Radius 0.3 holds 2-11 ids per ball on these points,
     so it takes the CSR."""
     pts = np.random.default_rng(12).normal(size=(400, 32)) * 0.055
@@ -405,22 +407,20 @@ def test_gain_queries_match_add(seed):
         assert eg >= -1e-12
 
 
-@pytest.mark.parametrize("block_flops", [1, 8, FeatureBalls.BLOCK_FLOPS])
+@pytest.mark.parametrize("block_rows", [1, 8, 1 << 20])
 @pytest.mark.parametrize("radius", [0.0, 0.8, np.inf])
 @pytest.mark.parametrize("seed", range(8))
-def test_batched_gains_match_oracle(seed, radius, block_flops, monkeypatch):
+def test_batched_gains_match_oracle(seed, radius, block_rows, monkeypatch):
     """Every non-seed candidate's batched gains equal the oracle
-    differences after each add, however the product or the bitset gather is
-    split into blocks, and a permuted batch gives the permuted gains.
+    differences after each add, however the bitset gather is split into
+    blocks (1, 8 or 2^20 one-word rows; the last, like the default, holds
+    every row here), and a permuted batch gives the permuted gains.
     Radius 0 takes the CSR product and the wider radii the bitset, so both
     coverage forms are checked. Row ``u`` of the state's composed sets is
     the union of the balls over ``A_u``, and adds write neither it nor the
     balls. A second state composes its own rows and starts from its own
     empty covered set."""
-    if block_flops < FeatureBalls.BLOCK_FLOPS:
-        # the bitset gather shrinks alongside: 1 or 8 one-word rows a block
-        monkeypatch.setattr(FeatureBalls, "BLOCK_BYTES", 8 * block_flops)
-    monkeypatch.setattr(FeatureBalls, "BLOCK_FLOPS", block_flops)
+    monkeypatch.setattr(FeatureBalls, "BLOCK_BYTES", 8 * block_rows)
     rng, g, edges, n, m_k, acts, balls, state, oballs, theta, beta = \
         build_state(seed, radius=radius, beta=0.5)
     assert (balls._bits is None) == (radius == 0.0)
@@ -476,9 +476,8 @@ def test_unions_match_oracle(seed, radius, small_blocks, monkeypatch):
     """Row ``i`` of ``unions(indptr, rows)`` is the union of the balls of
     ``rows[indptr[i]:indptr[i + 1]]``, in the balls' own form, for empty
     groups, repeated rows and groups larger than one block."""
-    if small_blocks:  # one one-word row, or one multiply-add, per block
+    if small_blocks:  # one one-word row per block
         monkeypatch.setattr(FeatureBalls, "BLOCK_BYTES", 8)
-        monkeypatch.setattr(FeatureBalls, "BLOCK_FLOPS", 1)
     rng, g, _, n, ps, _, _ = make_instance(seed)
     balls = build_feature_balls(ps, radius)
     oballs = oracles.feature_balls(ps.propagated_features, radius)
@@ -505,14 +504,14 @@ def test_unions_match_oracle(seed, radius, small_blocks, monkeypatch):
 
 @pytest.mark.parametrize("radius", [0.0, 7.0, np.inf])
 def test_unions_memory_follows_output(radius, monkeypatch):
-    """Composing the unions holds the output and one block: gathering
-    every group's ball rows at once would take about 12x the bitset output
-    here. The CSR joins its blocks once, so its peak stays about twice its
-    output (measured: 1.04x the bitset output, 2.2x the CSR output). An
-    infinite radius keeps its one shared row and a mask of the non-empty
-    groups, far below a row per group."""
+    """Composing the bitset unions holds the output and one block:
+    gathering every group's ball rows at once would take about 12x the
+    output here. The CSR's one boolean product counts its output before it
+    fills it, so its peak stays below twice its output (measured: 1.04x the
+    bitset output, 1.57x the CSR output). An infinite radius keeps its one
+    shared row and a mask of the non-empty groups, far below a row per
+    group."""
     monkeypatch.setattr(FeatureBalls, "BLOCK_BYTES", 1 << 14)
-    monkeypatch.setattr(FeatureBalls, "BLOCK_FLOPS", 1 << 12)
     rng = np.random.default_rng(4)
     n, d = 2000, 32
     pts = rng.normal(size=(n, d))
@@ -532,8 +531,7 @@ def test_unions_memory_follows_output(radius, monkeypatch):
     if sets._bits is None:
         out = sets._csr.data.nbytes + sets._csr.indices.nbytes \
             + sets._csr.indptr.nbytes
-        block = 5 * FeatureBalls.BLOCK_FLOPS
-        assert peak < 2.5 * out + 4 * block
+        assert peak < 2 * out
     elif radius == np.inf:  # the gathered mask and the group positions
         assert sets._bits.strides[0] == 0
         bound = rows.size + 16 * sizes.size

@@ -53,7 +53,13 @@ def test_config_validation():
         SelectionConfig(budget=1, theta="later").validate(3)
     with pytest.raises(ConfigError):
         SelectionConfig(budget=1, candidate_pool=(9,)).validate(3)
+    for bad in ({"budget": 2.5}, {"budget": 2.0}, {"budget": "2"},
+                {"budget": 1, "k": 1.5}, {"budget": 1, "rng_seed": 0.5}):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            SelectionConfig(**bad).validate(3)
     SelectionConfig(budget=2, candidate_pool=(0, 2)).validate(3)
+    SelectionConfig(budget=np.int64(2), k=np.int64(1),
+                    rng_seed=np.int64(3)).validate(3)
 
 
 def test_normalizers_edv_is_node_count():
