@@ -209,6 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # an id that the locale cannot encode prints escaped instead of raising
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     level = os.environ.get("HIAL_LOG_LEVEL", "WARNING").upper()
     # a known level name maps to its number, an unknown one to a string
     # (getLevelNamesMapping would need Python 3.11)

@@ -8,6 +8,8 @@ File formats:
   numeric feature values. A sparse variant (``id,idx:val,idx:val,...``)
   is accepted behind a flag.
 * ``*.labels.csv`` — ``id,class`` rows, classes non-negative integers.
+
+In both CSV files blank rows are skipped and a repeated id is rejected.
 * splits file — JSON with ``"train"`` / ``"test"`` lists of external ids.
 * result document — JSON with stable key order.
 
@@ -76,12 +78,26 @@ def load_hypergraph(path: str | Path) -> list[list[str]]:
     """Parse a hyperedge-list file into lists of external node ids."""
     edges: list[list[str]] = []
     with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
+        for line in fh:
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            edges.append(line.split())
+            if line:
+                edges.append(line.split())
     return edges
+
+
+def _csv_rows(path: str | Path):
+    """The non-blank rows of a CSV file as ``(lineno, id, cells)`` with the
+    id stripped; a repeated id raises :class:`DataError` naming the line."""
+    seen: set[str] = set()
+    with _open_text(path) as fh:
+        for lineno, row in enumerate(csv.reader(fh), 1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            ext = row[0].strip()
+            if ext in seen:
+                raise DataError(f"{path}:{lineno}: duplicate node id {ext!r}")
+            seen.add(ext)
+            yield lineno, ext, row[1:]
 
 
 def _parse_float(cell: str, path, lineno: int) -> float:
@@ -94,99 +110,73 @@ def _parse_float(cell: str, path, lineno: int) -> float:
     return value
 
 
+def _sparse_cells(cells: list[str], path, lineno: int) -> np.ndarray:
+    """``idx:value`` cells as a row of values up to the largest index, zero
+    at every index the cells do not list; blank cells are skipped."""
+    pairs: dict[int, float] = {}
+    for cell in filter(None, map(str.strip, cells)):
+        idx_s, colon, val_s = cell.partition(":")
+        if not colon:
+            raise DataError(f"{path}:{lineno}: expected idx:value, got {cell!r}")
+        try:
+            idx = int(idx_s)
+        except ValueError:
+            raise DataError(
+                f"{path}:{lineno}: bad feature index {idx_s!r}") from None
+        if idx < 0:
+            raise DataError(f"{path}:{lineno}: negative feature index")
+        if idx in pairs:
+            raise DataError(f"{path}:{lineno}: repeated feature index {idx}")
+        pairs[idx] = _parse_float(val_s, path, lineno)
+    row = np.zeros(1 + max(pairs, default=-1), dtype=np.float64)
+    for idx, value in pairs.items():
+        row[idx] = value
+    return row
+
+
 def load_features(path: str | Path,
                   sparse: bool = False) -> dict[str, np.ndarray]:
-    """Parse a feature CSV into ``external id -> feature vector``."""
-    if sparse:
-        return _load_features_sparse(path)
-    feats: dict[str, np.ndarray] = {}
+    """Parse a feature CSV into ``external id -> feature vector``: rows of
+    float cells of one width, or with ``sparse`` rows of ``idx:value``
+    cells, zero at every index a row does not list."""
+    rows: dict[str, np.ndarray] = {}
     width = None
-    with _open_text(path) as fh:
-        for lineno, row in enumerate(csv.reader(fh), 1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            ext = row[0].strip()
-            if ext in feats:
-                raise DataError(f"{path}:{lineno}: duplicate node id {ext!r}")
-            if width is None:
-                width = len(row) - 1
-                if width < 1:
-                    raise DataError(f"{path}:{lineno}: no feature columns")
-            elif len(row) - 1 != width:
-                raise DataError(
-                    f"{path}:{lineno}: ragged row, expected {width} values, "
-                    f"got {len(row) - 1}")
-            feats[ext] = np.array(
-                [_parse_float(c, path, lineno) for c in row[1:]], dtype=np.float64)
-    if not feats:
+    for lineno, ext, cells in _csv_rows(path):
+        if sparse:
+            rows[ext] = _sparse_cells(cells, path, lineno)
+            continue
+        width = len(cells) if width is None else width
+        if width < 1:
+            raise DataError(f"{path}:{lineno}: no feature columns")
+        if len(cells) != width:
+            raise DataError(f"{path}:{lineno}: ragged row, expected {width} "
+                            f"values, got {len(cells)}")
+        rows[ext] = np.array([_parse_float(c, path, lineno) for c in cells],
+                             dtype=np.float64)
+    if not rows:
         raise DataError(f"{path}: no feature rows")
-    return feats
-
-
-def _load_features_sparse(path: str | Path) -> dict[str, np.ndarray]:
-    entries: dict[str, dict[int, float]] = {}
-    dim = 0
-    with _open_text(path) as fh:
-        for lineno, row in enumerate(csv.reader(fh), 1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            ext = row[0].strip()
-            if ext in entries:
-                raise DataError(f"{path}:{lineno}: duplicate node id {ext!r}")
-            pairs: dict[int, float] = {}
-            for cell in row[1:]:
-                cell = cell.strip()
-                if not cell:
-                    continue
-                if ":" not in cell:
-                    raise DataError(
-                        f"{path}:{lineno}: expected idx:value, got {cell!r}")
-                idx_s, val_s = cell.split(":", 1)
-                try:
-                    idx = int(idx_s)
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: bad feature index {idx_s!r}") from None
-                if idx < 0:
-                    raise DataError(f"{path}:{lineno}: negative feature index")
-                if idx in pairs:
-                    raise DataError(
-                        f"{path}:{lineno}: repeated feature index {idx}")
-                pairs[idx] = _parse_float(val_s, path, lineno)
-                dim = max(dim, idx + 1)
-            entries[ext] = pairs
-    if not entries:
-        raise DataError(f"{path}: no feature rows")
+    dim = max(row.size for row in rows.values())
     if dim == 0:
         raise DataError(f"{path}: no feature cells in any row")
-    feats = {}
-    for ext, pairs in entries.items():
-        vec = np.zeros(dim, dtype=np.float64)
-        for idx, val in pairs.items():
-            vec[idx] = val
-        feats[ext] = vec
-    return feats
+    for row in rows.values():
+        if row.size < dim:  # zeros past a sparse row's largest index
+            row.resize(dim, refcheck=False)
+    return rows
 
 
 def load_labels(path: str | Path) -> dict[str, int]:
     """Parse an ``id,class`` CSV."""
     labels: dict[str, int] = {}
-    with _open_text(path) as fh:
-        for lineno, row in enumerate(csv.reader(fh), 1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'id,class'")
-            ext = row[0].strip()
-            if ext in labels:
-                raise DataError(f"{path}:{lineno}: duplicate node id {ext!r}")
-            try:
-                labels[ext] = int(row[1])
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: non-integer class {row[1]!r}") from None
-            if labels[ext] < 0:
-                raise DataError(f"{path}:{lineno}: negative class {row[1]!r}")
+    for lineno, ext, cells in _csv_rows(path):
+        if len(cells) != 1:
+            raise DataError(f"{path}:{lineno}: expected 'id,class'")
+        try:
+            labels[ext] = int(cells[0])
+        except ValueError:
+            raise DataError(
+                f"{path}:{lineno}: non-integer class {cells[0]!r}") from None
+        if labels[ext] < 0:
+            raise DataError(f"{path}:{lineno}: negative class {cells[0]!r}")
     return labels
 
 
@@ -222,6 +212,16 @@ def _sorted_ids(ids: set[str]) -> list[str]:
         return sorted(ids)
 
 
+def _in_id_order(rows: dict, ids: list[str], path, what: str) -> list:
+    """``rows[ext]`` for every id of ``ids``; an id without a row raises
+    :class:`DataError` naming ``path``."""
+    missing = [ext for ext in ids if ext not in rows]
+    if missing:
+        raise DataError(f"{path}: nodes missing {what}: {missing[:5]}"
+                        + ("..." if len(missing) > 5 else ""))
+    return [rows[ext] for ext in ids]
+
+
 def load_dataset(hyperedges: str | Path,
                  features: str | Path | None = None,
                  labels: str | Path | None = None,
@@ -232,13 +232,7 @@ def load_dataset(hyperedges: str | Path,
     feats = load_features(features, sparse=sparse_features) if features else None
     labs = load_labels(labels) if labels else None
 
-    universe: set[str] = set()
-    for e in raw_edges:
-        universe.update(e)
-    if feats:
-        universe.update(feats)
-    if labs:
-        universe.update(labs)
+    universe = set().union(*raw_edges, feats or (), labs or ())
     if not universe:
         raise DataError(f"{hyperedges}: empty dataset (no nodes anywhere)")
     ids = _sorted_ids(universe)
@@ -246,26 +240,11 @@ def load_dataset(hyperedges: str | Path,
 
     edge_lists = [[id_map[v] for v in e] for e in raw_edges]
     g = build(edge_lists, num_nodes=len(ids))
-
-    x = None
+    x = y = train = test = None
     if feats is not None:
-        missing = [ext for ext in ids if ext not in feats]
-        if missing:
-            raise DataError(
-                f"{features}: nodes missing feature rows: {missing[:5]}"
-                + ("..." if len(missing) > 5 else ""))
-        x = np.stack([feats[ext] for ext in ids])
-
-    y = None
+        x = np.stack(_in_id_order(feats, ids, features, "feature rows"))
     if labs is not None:
-        missing = [ext for ext in ids if ext not in labs]
-        if missing:
-            raise DataError(
-                f"{labels}: nodes missing labels: {missing[:5]}"
-                + ("..." if len(missing) > 5 else ""))
-        y = np.array([labs[ext] for ext in ids], dtype=np.int64)
-
-    train = test = None
+        y = np.array(_in_id_order(labs, ids, labels, "labels"), dtype=np.int64)
     if splits:
         sp = load_splits(splits)
         for key in sp:
@@ -273,12 +252,9 @@ def load_dataset(hyperedges: str | Path,
             if unknown:
                 raise DataError(f"{splits}: unknown node ids in '{key}': "
                                 f"{unknown[:5]}")
-        if "train" in sp:
-            train = np.asarray(sorted(id_map[v] for v in sp["train"]),
-                               dtype=np.int64)
-        if "test" in sp:
-            test = np.asarray(sorted(id_map[v] for v in sp["test"]),
-                              dtype=np.int64)
+        train, test = (
+            np.asarray(sorted(id_map[v] for v in sp[key]), dtype=np.int64)
+            if key in sp else None for key in ("train", "test"))
     return Dataset(g, x, y, id_map, ids, train, test)
 
 

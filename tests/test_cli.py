@@ -245,22 +245,43 @@ def test_exit_code_non_utf8_input(tmp_path, capsys, flag, sample):
     assert err == f"error: {f}: not UTF-8 text (b'\\xff')\n"
 
 
+def run_ascii_locale(argv):
+    """``python -m hial.cli argv`` in a child process whose locale encoding
+    is ASCII."""
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-m", "hial.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def test_utf8_input_under_ascii_locale(tmp_path):
     """Input files decode as UTF-8 whatever the locale: a non-ASCII
     comment loads in a child process whose locale encoding is ASCII."""
     edges = tmp_path / "g.hyperedges"
     edges.write_bytes("# café network\n".encode("utf-8")
                       + (SAMPLE / "toy.hyperedges").read_bytes())
-    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
-               PYTHONCOERCECLOCALE="0")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run([sys.executable, "-m", "hial.cli", "stats",
-                           "--hyperedges", str(edges), "--features",
-                           str(SAMPLE / "toy.features.csv")],
-                          capture_output=True, text=True, env=env)
+    proc = run_ascii_locale(["stats", "--hyperedges", str(edges),
+                             "--features", str(SAMPLE / "toy.features.csv")])
     assert proc.returncode == 0, proc.stderr
     assert "nodes: 12" in proc.stdout
+
+
+def test_non_ascii_id_printed_under_ascii_locale(tmp_path):
+    """A seed id that the locale cannot encode is printed escaped, and the
+    result document still holds the id itself."""
+    edges = tmp_path / "g.hyperedges"
+    edges.write_text("café b c\nc d\n", encoding="utf-8")
+    feats = tmp_path / "g.features.csv"
+    feats.write_text("café,0.0\nb,1.0\nc,2.0\nd,3.0\n", encoding="utf-8")
+    out = tmp_path / "res.json"
+    proc = run_ascii_locale(["select", "--hyperedges", str(edges),
+                             "--features", str(feats), "--budget", "4",
+                             "--output", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert "caf\\xe9" in proc.stdout
+    assert "café" in json.loads(out.read_text(encoding="utf-8"))["seeds"]
 
 
 def test_exit_code_negative_seed(capsys):

@@ -44,12 +44,6 @@ def test_load_features_dense(tmp_path):
     np.testing.assert_array_equal(feats["1"], [0.0, 1.0])
 
 
-def test_load_features_duplicate_rejected(tmp_path):
-    p = write(tmp_path, "f.csv", "0,1.0\n0,2.0\n")
-    with pytest.raises(DataError, match="duplicate"):
-        dataio.load_features(p)
-
-
 def test_load_features_ragged_rejected(tmp_path):
     p = write(tmp_path, "f.csv", "0,1.0,2.0\n1,3.0\n")
     with pytest.raises(DataError, match="ragged"):
@@ -96,6 +90,21 @@ def test_load_features_sparse_no_cells_rejected(tmp_path):
     p = write(tmp_path, "f.csv", "0,\n1,\n")
     with pytest.raises(DataError, match="no feature cells"):
         dataio.load_features(p, sparse=True)
+
+
+@pytest.mark.parametrize("loader, row", [
+    (dataio.load_features, "{},1.0"),
+    (lambda p: dataio.load_features(p, sparse=True), "{},0:1.0"),
+    (dataio.load_labels, "{},1")], ids=["features", "sparse", "labels"])
+def test_csv_rows_skip_blanks_and_reject_repeated_ids(tmp_path, loader, row):
+    """Feature and label files share their row rules: blank rows are
+    skipped, and a repeated id (after stripping) names its file and line."""
+    rows = [row.format("a"), "", "  ", row.format("b")]
+    assert list(loader(write(tmp_path, "ok.csv", "\n".join(rows)))) == ["a", "b"]
+    p = write(tmp_path, "dup.csv", "\n".join(rows + [row.format(" a ")]))
+    with pytest.raises(DataError,
+                       match=f"{re.escape(str(p))}:5: duplicate node id 'a'"):
+        loader(p)
 
 
 # -- dataset assembly ----------------------------------------------------

@@ -194,6 +194,26 @@ def test_restricted_candidate_pool():
     assert set(res.seeds) <= {0, 1, 2, 3}
 
 
+@pytest.mark.parametrize("radius", [0.0, 0.8, math.inf])
+def test_restricted_pool_composes_pool_rows_only(radius):
+    """A state's composed unions are empty outside the candidate pool and
+    equal a full-pool state's on it, in every coverage form; lazy and naive
+    still agree."""
+    pool = [0, 2, 5]
+    g, x, edges, n, ctx = make_context(3, radius=radius,
+                                       candidate_pool=tuple(pool))
+    full = make_context(3, radius=radius)[-1]
+    outside = np.setdiff1d(np.arange(n), pool)
+    sizes, expect = (
+        sets.uncovered(sets.empty(), np.arange(n))
+        for sets in (ctx.fresh_state().sets, full.fresh_state().sets))
+    assert expect[outside].any() and not sizes[outside].any()
+    assert sizes[pool].tolist() == expect[pool].tolist()
+    naive, lazy = select_naive(ctx), select_lazy(ctx)
+    assert (lazy.seeds, lazy.gains, lazy.trace) == (
+        naive.seeds, naive.gains, naive.trace)
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_greedy_guarantee_on_exhaustive_instances(seed):
     rng = np.random.default_rng(1000 + seed)
