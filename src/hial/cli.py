@@ -37,18 +37,22 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
                    help="features CSV uses idx:value sparse cells")
 
 
-def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=10)
+def _add_propagation_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=2, help="propagation steps")
     p.add_argument("--alpha", type=float, default=0.9)
+    p.add_argument("--backend", choices=[propagation.HOI, propagation.HGNN],
+                   default=propagation.HOI)
+
+
+def _add_config_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--budget", type=int, default=10)
+    _add_propagation_args(p)
     p.add_argument("--theta", default="auto",
                    help="activation threshold, or 'auto'")
     p.add_argument("--radius", default="auto",
                    help="feature ball radius, or 'auto'")
     p.add_argument("--beta", type=float, default=0.1)
     p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--backend", choices=[propagation.HOI, propagation.HGNN],
-                   default=propagation.HOI)
     p.add_argument("--train-split", action="store_true",
                    help="restrict candidates to the train split")
     p.add_argument("--seed", type=int, default=0,
@@ -199,11 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p_eval)
     p_eval.add_argument("--seeds", required=True,
                         help="result document from 'select'")
-    p_eval.add_argument("--k", type=int, default=2)
-    p_eval.add_argument("--alpha", type=float, default=0.9)
-    p_eval.add_argument("--backend",
-                        choices=[propagation.HOI, propagation.HGNN],
-                        default=propagation.HOI)
+    _add_propagation_args(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
     return parser
 

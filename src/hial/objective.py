@@ -1,21 +1,21 @@
 """Dual influence objective: feature-space coverage and one-hop diffusion.
 
 The coverage side activates every node whose normalized influence from the
-seed set strictly exceeds a threshold, then counts the union of
-feature-space balls (:class:`FeatureBalls`, from blocked distance products
-or, when sparse, a KD-tree) around the activated nodes. The diffusion side
-scores the expected number of one-hop neighbors activated through shared
-hyperedges. Both are monotone and submodular, so the greedy selector keeps
-an incrementally updated :class:`CoverageState` and scores whole batches
-of candidates without mutation: a MoI gain reads one precomputed union
-row, and the diffusion gains are one sparse mat-vec.
+seed set strictly exceeds a threshold (the activation sets, one boolean
+CSR), then counts the union of feature-space balls (:class:`FeatureBalls`,
+from blocked distance products or, when sparse, a KD-tree) around the
+activated nodes. The diffusion side scores the expected number of one-hop
+neighbors activated through shared hyperedges. Both are monotone and
+submodular, so the greedy selector keeps an incrementally updated
+:class:`CoverageState` and scores whole batches of candidates without
+mutation: a MoI gain reads one precomputed union row, and the diffusion
+gains are one sparse mat-vec.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +25,6 @@ from .hypergraph import Hypergraph
 from .propagation import InfluenceColumns, PropagationState
 
 __all__ = [
-    "ActivationSets",
     "FeatureBalls",
     "CoverageState",
     "build_activation_sets",
@@ -36,31 +35,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ActivationSets:
-    """Per-node activated node sets ``A_u = {j : influence > theta}``.
-
-    Stored CSR style: row ``u`` is ``indices[indptr[u]:indptr[u + 1]]``,
-    the sorted ids ``u`` activates alone, for every node ``u``.
-    """
-
-    indptr: np.ndarray   # int64, length n + 1
-    indices: np.ndarray  # int64
-
-
-def build_activation_sets(ic: InfluenceColumns, theta: float) -> ActivationSets:
-    """Threshold the normalized influence columns (strict inequality).
-
-    ``ic.columns`` holds the normalized influence, so ``A_u`` is the row ids
-    of column ``u``'s entries above ``theta``: one mask over the entries,
-    no division and no per-entry column ids.
-    """
+def build_activation_sets(ic: InfluenceColumns, theta: float) -> sp.csr_matrix:
+    """Boolean CSR whose row ``u`` is ``A_u``, the sorted ids ``j`` whose
+    normalized influence from ``u`` strictly exceeds ``theta``: the row ids
+    of column ``u``'s entries of ``ic.columns`` above ``theta``, from one
+    mask over the entries, no division and no per-entry column ids."""
     if theta < 0:
         raise ConfigError(f"activation threshold must be >= 0, got {theta}")
     cols = ic.columns
     pos = np.flatnonzero(cols.data > theta)
     indptr = np.searchsorted(pos, cols.indptr)
-    return ActivationSets(indptr, cols.indices[pos].astype(np.int64))
+    return sp.csr_matrix((np.ones(pos.size, dtype=bool), cols.indices[pos],
+                          indptr), shape=cols.shape)
 
 
 class FeatureBalls:
@@ -183,7 +169,11 @@ class FeatureBalls:
             _, pos = _gather(self._csr.indptr, rows)
             covered[self._csr.indices[pos]] = True
             return int(np.count_nonzero(covered))
-        covered |= self._union(rows)
+        if self._live is not None:
+            rows = rows[self._live[rows]]
+        step = self._block_rows()
+        for s in range(0, rows.size, step):
+            covered |= np.bitwise_or.reduce(self._bits[rows[s:s + step]], axis=0)
         return int(np.bitwise_count(covered).sum())
 
     def uncovered(self, covered: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -201,55 +191,54 @@ class FeatureBalls:
                 self._bits[rows[s:s + step]] & free).sum(axis=1)
         return out if self._live is None else out * self._live[rows]
 
-    def unions(self, indptr: np.ndarray, rows: np.ndarray) -> "FeatureBalls":
+    def unions(self, groups: sp.csr_matrix) -> "FeatureBalls":
         """The same coverage form, whose row ``i`` is the union of the rows
-        ``rows[indptr[i]:indptr[i + 1]]``: the bitset OR of blocks of about
-        ``BLOCK_BYTES`` of gathered rows, or one boolean product of the
-        groups' indicator CSR and the balls, whose sum lists each id once."""
+        at the ids of row ``i`` of the boolean CSR ``groups``: the boolean
+        product ``groups @ balls``, whose sum lists each id once, or
+        :func:`_group_or` of the bitset or, for an infinite radius, of its
+        mask of live rows (the one shared row stays)."""
         out = copy.copy(self)
         if self._bits is None:
-            groups = sp.csr_matrix(
-                (np.ones(rows.size, dtype=bool), rows, indptr),
-                shape=(indptr.size - 1, self.num_nodes))
             out._csr = groups @ self._csr
-            return out
-        starts, words = indptr[:-1], self._bits.shape[1]
-        some = starts < indptr[1:]  # an empty group stays 0
-        if self._live is not None:  # a live row is the one shared row
-            out._live = np.zeros(starts.size, dtype=bool)
-            out._live[some] = np.logical_or.reduceat(
-                self._live[rows], starts[some])
-            out._bits = np.broadcast_to(self._bits[0], (starts.size, words))
-            return out
-        out._bits = np.zeros((starts.size, words), dtype=np.uint64)
-        step = self._block_rows()
-        lo = 0
-        while lo < indptr.size - 1:  # a group over the bound goes alone
-            hi = max(lo + 1, int(np.searchsorted(
-                indptr, indptr[lo] + step, side="right")) - 1)
-            p, q = indptr[lo], indptr[hi]
-            if hi == lo + 1:
-                out._bits[lo] = self._union(rows[p:q])
-            else:
-                b = some[lo:hi]
-                out._bits[lo:hi][b] = np.bitwise_or.reduceat(
-                    self._bits[rows[p:q]], starts[lo:hi][b] - p, axis=0)
-            lo = hi
+        elif self._live is None:
+            out._bits = _group_or(self._bits, groups, self.BLOCK_BYTES)
+        else:
+            out._live = _group_or(self._live[:, None], groups,
+                                  self.BLOCK_BYTES)[:, 0]
+            out._bits = np.broadcast_to(
+                self._bits[0], (out._live.size, self._bits.shape[1]))
         return out
 
     def _block_rows(self) -> int:
         """Bitset rows per gathered block."""
         return max(1, self.BLOCK_BYTES // self._bits[0].nbytes)
 
-    def _union(self, rows: np.ndarray) -> np.ndarray:
-        """OR of the bitset rows ``rows``, gathered in blocks."""
-        if self._live is not None:
-            rows = rows[self._live[rows]]
-        step = self._block_rows()
-        union = np.zeros(self._bits.shape[1], dtype=np.uint64)
-        for s in range(0, rows.size, step):
-            union |= np.bitwise_or.reduce(self._bits[rows[s:s + step]], axis=0)
-        return union
+
+def _group_or(table: np.ndarray, groups: sp.csr_matrix,
+              block_bytes: int) -> np.ndarray:
+    """Row ``i`` is the OR of the rows of ``table`` at the ids of row ``i``
+    of ``groups`` (0 for none), gathered in blocks of about ``block_bytes``
+    (with each int32 id's intp copy) that end at group boundaries, one
+    ``reduceat`` each; a group over the bound goes alone, in blocks."""
+    indptr, ids = groups.indptr, groups.indices
+    step = max(1, block_bytes // (table[0].nbytes + 8))
+    out = np.zeros((indptr.size - 1, table.shape[1]), dtype=table.dtype)
+    lo = 0
+    while lo < indptr.size - 1:
+        hi = max(lo + 1, int(np.searchsorted(
+            indptr, int(indptr[lo]) + step, side="right")) - 1)
+        p, q = indptr[lo], indptr[hi]
+        if hi == lo + 1:
+            for s in range(p, q, step):
+                out[lo] |= np.bitwise_or.reduce(
+                    table.take(ids[s:min(s + step, q)], axis=0), axis=0)
+        else:
+            starts = indptr[lo:hi]
+            some = starts < indptr[lo + 1:hi + 1]  # an empty group stays 0
+            out[lo:hi][some] = np.bitwise_or.reduceat(
+                table.take(ids[p:q], axis=0), starts[some] - p, axis=0)
+        lo = hi
+    return out
 
 
 def squared_norms(points: np.ndarray) -> np.ndarray:
@@ -286,12 +275,12 @@ class CoverageState:
     any number of candidates against a frozen state.
     """
 
-    def __init__(self, g: Hypergraph, acts: ActivationSets,
+    def __init__(self, g: Hypergraph, acts: sp.csr_matrix,
                  balls: FeatureBalls, beta: float):
         _check_beta(beta)
         self.graph = g
         self.beta = beta
-        self.sets = balls.unions(acts.indptr, acts.indices)
+        self.sets = balls.unions(acts)
         self.covered = self.sets.empty()
         self._adj = g.adjacency()
         self.in_seed = np.zeros(g.num_nodes, dtype=bool)

@@ -48,10 +48,9 @@ HGNN = "hgnn"
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Symmetric non-negative n x n transition matrix plus its provenance."""
+    """Symmetric non-negative n x n transition matrix."""
 
     matrix: sp.csr_matrix
-    backend: str
 
     @property
     def num_nodes(self) -> int:
@@ -96,7 +95,7 @@ def build_hoi_transition(g: Hypergraph) -> TransitionMatrix:
     raw = (h @ scale @ h.T).tocsr()
     raw.setdiag(0)
     raw.eliminate_zeros()
-    return TransitionMatrix(_symmetric_normalize(raw), HOI)
+    return TransitionMatrix(_symmetric_normalize(raw))
 
 
 def build_hgnn_transition(g: Hypergraph) -> TransitionMatrix:
@@ -108,7 +107,7 @@ def build_hgnn_transition(g: Hypergraph) -> TransitionMatrix:
     de_inv = np.divide(1.0, de, out=np.zeros_like(de), where=de > 0)
     t = (sp.diags(dv) @ h @ sp.diags(de_inv) @ h.T @ sp.diags(dv)).tocsr()
     t.eliminate_zeros()
-    return TransitionMatrix(t, HGNN)
+    return TransitionMatrix(t)
 
 
 def build_transition(g: Hypergraph, backend: str = HOI) -> TransitionMatrix:

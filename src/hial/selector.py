@@ -18,6 +18,7 @@ import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import objective, propagation
 from .errors import ConfigError
@@ -120,7 +121,7 @@ class SelectionContext:
     graph: Hypergraph
     config: SelectionConfig  # with theta/radius resolved to numbers
     pool: np.ndarray
-    acts: objective.ActivationSets  # every row outside the pool empty
+    acts: sp.csr_matrix  # activation sets, every row outside the pool empty
     balls: objective.FeatureBalls
     moi_hat: float
     edv_hat: float
@@ -178,18 +179,6 @@ def normalizers(g: Hypergraph, sigma_all: np.ndarray,
     return moi_hat, float(g.num_nodes)
 
 
-def _pool_rows(acts: objective.ActivationSets,
-               pool: np.ndarray) -> objective.ActivationSets:
-    """``acts`` with every row outside ``pool`` emptied."""
-    in_pool = np.zeros(acts.indptr.size - 1, dtype=bool)
-    in_pool[pool] = True
-    lens = np.diff(acts.indptr)
-    indptr = np.zeros_like(acts.indptr)
-    np.cumsum(lens * in_pool, out=indptr[1:])
-    return objective.ActivationSets(indptr,
-                                    acts.indices[np.repeat(in_pool, lens)])
-
-
 def prepare(g: Hypergraph, features: np.ndarray,
             cfg: SelectionConfig) -> SelectionContext:
     """Build the propagation, influence, and coverage structures for a
@@ -211,7 +200,10 @@ def prepare(g: Hypergraph, features: np.ndarray,
     sigma_all[acts.indices] = True
     moi_hat, edv_hat = normalizers(g, sigma_all, balls)
     if pool.size < g.num_nodes:  # a state then composes the pool's unions
-        acts = _pool_rows(acts, pool)
+        outside = np.ones(g.num_nodes, dtype=bool)
+        outside[pool] = False
+        acts.data[np.repeat(outside, np.diff(acts.indptr))] = False
+        acts.eliminate_zeros()
     params = {
         "budget": cfg.budget, "k": cfg.k, "alpha": cfg.alpha,
         "theta": theta, "radius": radius, "beta": cfg.beta,

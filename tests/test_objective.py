@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hial import (
     ConfigError,
@@ -61,6 +62,7 @@ def test_activation_sets_match_bruteforce(seed):
     _, g, _, n, _, ic, m_k = make_instance(seed)
     theta = 0.07
     acts = build_activation_sets(ic, theta)
+    assert acts.has_canonical_format  # each row sorted, each id once
     for u in range(n):
         expect = oracles.activated_set(m_k, theta, {u})
         assert set(activated_by(acts, u)) == expect
@@ -469,11 +471,18 @@ def test_batched_gains_match_oracle(seed, radius, block_rows, monkeypatch):
     assert f_edv.tolist() == first[1].tolist()
 
 
+def groups_csr(indptr, rows, n):
+    """Boolean CSR whose row ``i`` lists ``rows[indptr[i]:indptr[i + 1]]``,
+    in order and with any repeats."""
+    return sp.csr_matrix((np.ones(rows.size, dtype=bool), rows, indptr),
+                         shape=(indptr.size - 1, n))
+
+
 @pytest.mark.parametrize("small_blocks", [False, True])
 @pytest.mark.parametrize("radius", [0.0, 0.8, np.inf])
 @pytest.mark.parametrize("seed", range(6))
 def test_unions_match_oracle(seed, radius, small_blocks, monkeypatch):
-    """Row ``i`` of ``unions(indptr, rows)`` is the union of the balls of
+    """Row ``i`` of ``unions(groups)`` is the union of the balls of
     ``rows[indptr[i]:indptr[i + 1]]``, in the balls' own form, for empty
     groups, repeated rows and groups larger than one block."""
     if small_blocks:  # one one-word row per block
@@ -485,7 +494,7 @@ def test_unions_match_oracle(seed, radius, small_blocks, monkeypatch):
     sizes[rng.choice(12, size=4, replace=False)] = 0
     indptr = np.concatenate([[0], np.cumsum(sizes)])
     rows = rng.integers(0, n, size=indptr[-1])
-    sets = balls.unions(indptr, rows)
+    sets = balls.unions(groups_csr(indptr, rows, n))
     assert (sets._bits is None) == (balls._bits is None) == (radius == 0.0)
     if radius == np.inf:  # one shared row, not a row per group
         assert sets._bits.strides[0] == 0
@@ -522,9 +531,10 @@ def test_unions_memory_follows_output(radius, monkeypatch):
     sizes = rng.integers(0, 24, size=n)
     indptr = np.concatenate([[0], np.cumsum(sizes)])
     rows = rng.integers(0, n, size=indptr[-1])
+    groups = groups_csr(indptr, rows, n)
     tracemalloc.start()
     try:
-        sets = balls.unions(indptr, rows)
+        sets = balls.unions(groups)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -196,14 +196,24 @@ def test_restricted_candidate_pool():
 
 @pytest.mark.parametrize("radius", [0.0, 0.8, math.inf])
 def test_restricted_pool_composes_pool_rows_only(radius):
-    """A state's composed unions are empty outside the candidate pool and
-    equal a full-pool state's on it, in every coverage form; lazy and naive
-    still agree."""
+    """The context's activation rows and a state's composed unions are
+    empty outside the candidate pool and equal a full-pool context's on it
+    (the rows id for id, in sorted order), in every coverage form; lazy and
+    naive still agree."""
     pool = [0, 2, 5]
     g, x, edges, n, ctx = make_context(3, radius=radius,
                                        candidate_pool=tuple(pool))
     full = make_context(3, radius=radius)[-1]
     outside = np.setdiff1d(np.arange(n), pool)
+    for u in range(n):
+        row = ctx.acts.indices[ctx.acts.indptr[u]:ctx.acts.indptr[u + 1]]
+        if u in pool:
+            want = full.acts.indices[full.acts.indptr[u]:
+                                     full.acts.indptr[u + 1]]
+            assert want.size and (np.diff(want) > 0).all()
+            assert row.tolist() == want.tolist()
+        else:
+            assert row.size == 0
     sizes, expect = (
         sets.uncovered(sets.empty(), np.arange(n))
         for sets in (ctx.fresh_state().sets, full.fresh_state().sets))
