@@ -9,7 +9,8 @@ neighbors activated through shared hyperedges. Both are monotone and
 submodular, so the greedy selector keeps an incrementally updated
 :class:`CoverageState` and scores whole batches of candidates without
 mutation: a MoI gain reads one precomputed union row, and the diffusion
-gains are one sparse mat-vec.
+gains are one sparse mat-vec. Seeding a node adds those scored gains and
+marks its one union row covered.
 """
 
 from __future__ import annotations
@@ -53,26 +54,26 @@ class FeatureBalls:
     """Radius-``r`` Euclidean neighborhoods in propagated feature space.
 
     Row ``u`` of the coverage form is the ball of node ``u``, the ids ``v``
-    with ``Σ_k (x_u,k − x_v,k)² ≤ r²``, built straight into the form that
-    the share of pairs within ``radius`` (all, or ``SAMPLE_PAIRS`` drawn)
-    picks: bitsets from blocked distance products rechecked near ``r``, or
-    the CSR of a KD-tree pair query. An infinite radius (or ``r²`` past
-    float64) keeps one all-ids bitset row, read as every row (stride 0),
-    and a mask of the live rows (every ball; non-empty unions), n/64 words.
+    with ``Σ_k (x_u,k − x_v,k)² ≤ r²``, built straight into one of three
+    forms. Only that form is kept, and it is never written: :meth:`unions`
+    composes groups of its rows into a new instance of the same form,
+    :meth:`cover` marks one row's ids in the caller's own covered set (from
+    :meth:`empty`) and :meth:`uncovered` counts rows' ids outside it:
 
-    Only the chosen coverage form is kept, and it is never written:
-    :meth:`unions` composes groups of its rows into a new instance of the
-    same form, and :meth:`empty`, :meth:`cover` and :meth:`uncovered` read
-    either with the caller's own covered set:
-
+    * **shared row** for an infinite radius (or ``r²`` past float64): one
+      all-ids bitset row, read as every row (stride 0), and a mask of the
+      live rows (every ball; non-empty unions), n/64 words; a union's mask
+      is one boolean product of the groups with the mask;
     * **bitset** when its ``n·⌈n/64⌉·8`` bytes are no more than the
-      ``nnz·5`` bytes (int32 ids, bool data) of the CSR: each row packed
-      into ``⌈n/64⌉`` uint64 words, a covered set one word array, an
-      uncovered count the popcount of a row and ``~covered``, a union the
-      OR of its rows;
-    * **CSR** otherwise: a boolean CSR of the rows, a covered set one
-      boolean array, an uncovered count a row times ``~covered``, and a
-      union a row of one boolean product (its sum lists each id once).
+      ``nnz·5`` bytes (int32 ids, bool data) of the CSR, estimated from the
+      share of pairs within ``radius`` (all, or ``SAMPLE_PAIRS`` drawn):
+      rows of ``⌈n/64⌉`` uint64 words from blocked distance products
+      rechecked near ``r``, a covered set one word array, an uncovered
+      count the popcount of a row and ``~covered``, a union the OR of its
+      rows (:func:`_group_or`);
+    * **CSR** otherwise: a boolean CSR of a KD-tree pair query, a covered
+      set one boolean array, an uncovered count a row times ``~covered``,
+      and a union a row of one boolean product (its sum lists each id once).
 
     The bitset is filled and gathered in blocks of about ``BLOCK_BYTES``.
     """
@@ -162,19 +163,13 @@ class FeatureBalls:
             return np.zeros(self.num_nodes, dtype=bool)
         return np.zeros(self._bits.shape[1], dtype=np.uint64)
 
-    def cover(self, covered: np.ndarray, rows: np.ndarray) -> int:
-        """Mark the ids of the rows ``rows`` in ``covered``; return the
-        number of covered ids."""
+    def cover(self, covered: np.ndarray, row: int) -> None:
+        """Mark the ids of row ``row`` in ``covered``."""
         if self._bits is None:
-            _, pos = _gather(self._csr.indptr, rows)
-            covered[self._csr.indices[pos]] = True
-            return int(np.count_nonzero(covered))
-        if self._live is not None:
-            rows = rows[self._live[rows]]
-        step = self._block_rows()
-        for s in range(0, rows.size, step):
-            covered |= np.bitwise_or.reduce(self._bits[rows[s:s + step]], axis=0)
-        return int(np.bitwise_count(covered).sum())
+            ptr = self._csr.indptr
+            covered[self._csr.indices[ptr[row]:ptr[row + 1]]] = True
+        elif self._live is None or self._live[row]:
+            covered |= self._bits[row]
 
     def uncovered(self, covered: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """int64 count of the ids of each row of ``rows`` not in
@@ -194,17 +189,16 @@ class FeatureBalls:
     def unions(self, groups: sp.csr_matrix) -> "FeatureBalls":
         """The same coverage form, whose row ``i`` is the union of the rows
         at the ids of row ``i`` of the boolean CSR ``groups``: the boolean
-        product ``groups @ balls``, whose sum lists each id once, or
-        :func:`_group_or` of the bitset or, for an infinite radius, of its
-        mask of live rows (the one shared row stays)."""
+        product ``groups @ balls``, whose sum lists each id once,
+        :func:`_group_or` of the bitset or, for an infinite radius, the
+        boolean mat-vec ``groups @ live`` (the one shared row stays)."""
         out = copy.copy(self)
         if self._bits is None:
             out._csr = groups @ self._csr
         elif self._live is None:
             out._bits = _group_or(self._bits, groups, self.BLOCK_BYTES)
         else:
-            out._live = _group_or(self._live[:, None], groups,
-                                  self.BLOCK_BYTES)[:, 0]
+            out._live = groups @ self._live
             out._bits = np.broadcast_to(
                 self._bits[0], (out._live.size, self._bits.shape[1]))
         return out
@@ -244,9 +238,14 @@ def _group_or(table: np.ndarray, groups: sp.csr_matrix,
 def squared_norms(points: np.ndarray) -> np.ndarray:
     """Squared row norms; ``DataError`` unless every squared distance fits."""
     sq = np.einsum("ij,ij->i", points, points)
-    if not math.isfinite(4 * float(sq.max(initial=0.0))):
-        raise DataError("squared feature distances overflow float64")
-    return sq
+    if math.isfinite(4 * float(sq.max(initial=0.0))):
+        return sq
+    if np.isnan(sq).any():  # a sum of squares is NaN only from a NaN
+        raise DataError("features hold non-finite values (nan)")
+    if np.isinf(points).any():
+        raise DataError("features hold non-finite values (inf), whose "
+                        "squared distances overflow float64")
+    raise DataError("squared feature distances overflow float64")
 
 
 def build_feature_balls(ps: PropagationState, radius: float) -> FeatureBalls:
@@ -267,9 +266,10 @@ class CoverageState:
     during a selection, so the state composes every ``U_c`` once into
     ``sets`` (:meth:`FeatureBalls.unions`; row ``c`` is ``U_c``) and keeps
     ``covered``, its own covered set. A MoI gain counts one row's
-    uncovered ids, and :meth:`add` marks one row covered; ``sets`` is never
-    written. The EDV gains are one mat-vec of the adjacency-count CSR
-    against the evasion probabilities of the non-seed nodes.
+    uncovered ids; ``sets`` is never written. The EDV gains are one mat-vec
+    of the adjacency-count CSR against the evasion probabilities of the
+    non-seed nodes. :meth:`add` sums its node's :meth:`gains` into
+    ``moi_value`` and ``edv_value`` and marks its row covered.
 
     Single-writer; :meth:`gains` is a pure read and may be evaluated for
     any number of candidates against a frozen state.
@@ -308,13 +308,18 @@ class CoverageState:
         # hyperedge has no neighbors, so its sum is 0 whatever d is
         d = np.maximum(self.graph.node_degree[cands], 1)
         adj_ptr, adj_ids, adj_counts = self._adj
-        indptr, pos = _gather(adj_ptr, cands)
+        # the entries of the adjacency rows of cands, in order, by a few
+        # numpy calls: scipy's row selection costs several times more per
+        # call on the small batches of a greedy round
+        start = adj_ptr[cands]
+        lens = adj_ptr[cands + 1] - start
+        row = np.repeat(np.arange(cands.size), lens)
+        shift = np.repeat(start + lens - np.cumsum(lens), lens)
+        pos = shift + np.arange(shift.size)
         nb = adj_ids[pos]
         free = self.evasion[nb] * ~self.in_seed[nb]
-        # the sparse mat-vec of the adjacency rows of cands with free: each
-        # row sums its entries in order, so a gain does not depend on its
-        # batch
-        row = np.repeat(np.arange(cands.size), np.diff(indptr))
+        # the sparse mat-vec of those rows with free: each row sums its
+        # entries in order, so a gain does not depend on its batch
         sums = np.bincount(row, weights=adj_counts[pos] * free,
                            minlength=cands.size)
         return self.evasion[cands] + self.beta / d * sums
@@ -322,43 +327,23 @@ class CoverageState:
     # -- mutation ---------------------------------------------------------
 
     def add(self, v: int) -> "CoverageState":
-        """Seed ``v``: mark the ids of row ``v`` of ``sets`` covered and
-        update evasion products for v's non-seed neighbors."""
+        """Seed ``v``: add its :meth:`gains` (which check ``v``) to the
+        values, mark row ``v`` of ``sets`` covered and update evasion
+        products for v's non-seed neighbors."""
+        moi, diffusion = self.gains([v])
         v = int(v)
-        if not 0 <= v < self.graph.num_nodes:
-            raise DataError(f"node id {v} out of range")
-        if self.in_seed[v]:
-            raise DataError(f"node {v} is already a seed")
-        self.moi_value = self.sets.cover(self.covered, np.array([v]))
+        self.sets.cover(self.covered, v)
+        self.moi_value += int(moi[0])
+        self.edv_value += float(diffusion[0])
 
         adj_ptr, adj_ids, adj_counts = self._adj
         nb = adj_ids[adj_ptr[v]:adj_ptr[v + 1]]
         ct = adj_counts[adj_ptr[v]:adj_ptr[v + 1]]
         free = ~self.in_seed[nb]
-        # v's _diffusion_gains term, summed in the same entry order
-        s = np.bincount(np.zeros(nb.size, dtype=np.intp),
-                        weights=ct * (self.evasion[nb] * free), minlength=1)
         d_v = self.graph.node_degree[v]
-        self.edv_value += float(
-            self.evasion[v] + self.beta / max(d_v, 1) * s[0])
         self.evasion[nb[free]] *= 1.0 - self.beta * ct[free] / d_v
         self.in_seed[v] = True
         return self
-
-
-def _gather(indptr: np.ndarray,
-            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row pointer and entry positions of the rows ``rows`` of a CSR
-    structure with row pointer ``indptr``, in order. A few numpy calls:
-    scipy's fancy row indexing costs several times more per call on the
-    small batches of a greedy round."""
-    start = indptr[rows]
-    lens = indptr[rows + 1] - start
-    out = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(lens, out=out[1:])
-    pos = np.repeat(start - out[:-1], lens)
-    pos += np.arange(out[-1])
-    return out, pos
 
 
 def edv(g: Hypergraph, seeds, beta: float) -> float:

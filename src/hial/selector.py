@@ -39,6 +39,13 @@ AUTO = "auto"
 RADIUS_QUANTILE = 0.05
 
 
+def _check_integer(name: str, value) -> None:
+    try:  # any integer type, numpy's included
+        operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SelectionConfig:
     """All scalar knobs of the selection pipeline.
@@ -61,11 +68,7 @@ class SelectionConfig:
 
     def validate(self, num_nodes: int) -> None:
         for name in ("budget", "k", "rng_seed"):
-            try:  # any integer type, numpy's included
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got "
-                                  f"{getattr(self, name)!r}") from None
+            _check_integer(name, getattr(self, name))
         pool = self.resolve_pool(num_nodes)
         if not 1 <= self.budget <= pool.size:
             raise ConfigError(
@@ -94,13 +97,14 @@ class SelectionConfig:
     def resolve_pool(self, num_nodes: int) -> np.ndarray:
         if self.candidate_pool is None:
             return np.arange(num_nodes, dtype=np.int64)
-        pool = np.asarray(sorted(set(int(v) for v in self.candidate_pool)),
-                          dtype=np.int64)
-        if pool.size == 0:
+        for v in self.candidate_pool:
+            _check_integer("candidate pool id", v)
+        ids = sorted(set(self.candidate_pool))  # in range before int64
+        if not ids:
             raise ConfigError("candidate pool is empty")
-        if pool[0] < 0 or pool[-1] >= num_nodes:
+        if ids[0] < 0 or ids[-1] >= num_nodes:
             raise ConfigError("candidate pool contains out-of-range node ids")
-        return pool
+        return np.asarray(ids, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -168,11 +172,12 @@ def normalizers(g: Hypergraph, sigma_all: np.ndarray,
                 balls: objective.FeatureBalls) -> tuple[int, float]:
     """Whole-graph objective values used as normalization constants.
 
-    MoI(V) is the union of the balls over every node that some node
-    activates, whatever the candidate pool. EDV(V) is ``n``: with every
+    MoI(V) counts one composed row: the balls' union over every node that
+    some node activates, whatever the pool. EDV(V) is ``n``: with every
     node seeded no neighbor is left to reach, so each node counts once.
     """
-    moi_hat = balls.cover(balls.empty(), np.flatnonzero(sigma_all))
+    union = balls.unions(sp.csr_matrix(sigma_all))
+    moi_hat = int(union.uncovered(union.empty(), np.zeros(1, np.int64))[0])
     if moi_hat == 0:
         raise ConfigError("whole-graph coverage is empty: theta excludes "
                           "every node; lower theta or its quantile")

@@ -260,6 +260,15 @@ def test_balls_overflowing_features_rejected(value, radius):
     assert all(ball(balls, u).tolist() == [0, 1, 2, 3] for u in range(4))
 
 
+def test_balls_nan_features_rejected():
+    """A NaN feature is named as a non-finite value, not as an overflow."""
+    pts = np.random.default_rng(6).normal(size=(4, 3))
+    pts[2, 1] = np.nan
+    with pytest.raises(DataError, match=r"non-finite values \(nan\)") as err:
+        FeatureBalls(pts, 1.0)
+    assert "overflow" not in str(err.value)
+
+
 def test_balls_radius_squared_past_float64_covers_all():
     """``r²`` overflows to inf (``r ** 2`` would raise), so every ball
     holds every id."""
@@ -365,6 +374,13 @@ def test_duplicate_add_rejected():
     for bad in ([0, -1], [n]):  # a negative id must not wrap around
         with pytest.raises(DataError):
             state.gains(bad)
+    moi, edv_value = state.moi_value, state.edv_value
+    covered = state.covered.copy()
+    for bad in (-1, n):  # rejected before anything is written
+        with pytest.raises(DataError, match="out of range"):
+            state.add(bad)
+        assert (state.moi_value, state.edv_value) == (moi, edv_value)
+        assert np.array_equal(state.covered, covered)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -507,8 +523,12 @@ def test_unions_match_oracle(seed, radius, small_blocks, monkeypatch):
         assert set(got.tolist()) == expect
     assert sets.uncovered(sets.empty(), np.arange(sizes.size)).tolist() == \
         [ball(sets, i).size for i in range(sizes.size)]
-    assert sets.cover(sets.empty(), np.arange(sizes.size)) == \
-        len(set().union(*(oballs[j] for j in rows.tolist())))
+    covered = sets.empty()
+    for i in range(sizes.size):  # one row per call
+        sets.cover(covered, i)
+    count = (np.count_nonzero(covered) if covered.dtype == bool
+             else np.bitwise_count(covered).sum())
+    assert count == len(set().union(*(oballs[j] for j in rows.tolist())))
 
 
 @pytest.mark.parametrize("radius", [0.0, 7.0, np.inf])

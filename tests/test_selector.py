@@ -53,11 +53,18 @@ def test_config_validation():
         SelectionConfig(budget=1, theta="later").validate(3)
     with pytest.raises(ConfigError):
         SelectionConfig(budget=1, candidate_pool=(9,)).validate(3)
+    for pool in ((2 ** 70,), (-2 ** 70, 1)):  # past int64 too
+        with pytest.raises(ConfigError, match="out-of-range"):
+            SelectionConfig(budget=1, candidate_pool=pool).validate(3)
     for bad in ({"budget": 2.5}, {"budget": 2.0}, {"budget": "2"},
                 {"budget": 1, "k": 1.5}, {"budget": 1, "rng_seed": 0.5}):
         with pytest.raises(ConfigError, match="must be an integer"):
             SelectionConfig(**bad).validate(3)
+    for pool in ((0.7,), (2.0, 1.9), ("x",), (1, np.float64(2.0))):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            SelectionConfig(budget=1, candidate_pool=pool).validate(3)
     SelectionConfig(budget=2, candidate_pool=(0, 2)).validate(3)
+    SelectionConfig(budget=2, candidate_pool=(np.int32(0), 2)).validate(3)
     SelectionConfig(budget=np.int64(2), k=np.int64(1),
                     rng_seed=np.int64(3)).validate(3)
 
@@ -68,7 +75,7 @@ def test_normalizers_edv_is_node_count():
 
 
 def test_normalizer_moi_matches_scratch():
-    for seed, radius in itertools.product(range(8), (0.8, math.inf)):
+    for seed, radius in itertools.product(range(8), (0.0, 0.8, math.inf)):
         g, x, edges, n, ctx = make_context(seed, radius=radius)
         m_k, oballs = oracle_inputs(g, x, ctx)
         expect = oracles.moi_value(m_k, ctx.config.theta, set(range(n)), oballs)
