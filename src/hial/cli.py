@@ -11,15 +11,13 @@ Exit codes: 0 success, 2 usage error, 3 data/parse error, 4 config error,
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 import time
 from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, dataio, objective, propagation, selector
+from . import __version__, dataio, propagation, selector
 from .errors import ConfigError, DataError, HialError
 
 EXIT_OK = 0
@@ -92,7 +90,7 @@ def cmd_select(args) -> int:
     cfg = _build_config(args, ds)
     t0 = time.perf_counter()
     ctx = selector.prepare(ds.hypergraph, ds.features, cfg)
-    result = (selector.select_naive if args.naive else selector.select_lazy)(ctx)
+    result = selector.select_lazy(ctx)
     elapsed = time.perf_counter() - t0
     if args.output:
         dataio.write_result(result, args.output, ds.ids)
@@ -188,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel = sub.add_parser("select", help="greedy seed selection")
     _add_dataset_args(p_sel)
     _add_config_args(p_sel)
-    p_sel.add_argument("--naive", action="store_true",
-                       help="use the reference (non-lazy) greedy path")
     p_sel.add_argument("--output", help="write the result document here")
     p_sel.set_defaults(func=cmd_select)
 
@@ -212,14 +208,6 @@ def main(argv=None) -> int:
     # an id that the locale cannot encode prints escaped instead of raising
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(errors="backslashreplace")
-    level = os.environ.get("HIAL_LOG_LEVEL", "WARNING").upper()
-    # a known level name maps to its number, an unknown one to a string
-    # (getLevelNamesMapping would need Python 3.11)
-    if not isinstance(logging.getLevelName(level), int):
-        print(f"error: unknown HIAL_LOG_LEVEL {level!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    logging.basicConfig(level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -28,11 +28,11 @@ class Hypergraph:
     def __init__(self, incidence: sp.csr_matrix):
         # incidence: n x m binary CSR, rows = nodes, cols = hyperedges
         self._h = incidence
-        self._ht = incidence.T.tocsr()
         self.num_nodes = incidence.shape[0]
         self.num_edges = incidence.shape[1]
         self.node_degree = np.diff(self._h.indptr).astype(np.int64)
-        self.edge_degree = np.diff(self._ht.indptr).astype(np.int64)
+        self.edge_degree = np.bincount(incidence.indices,
+                                       minlength=self.num_edges)
         self._adj = None
 
     # -- incidence access ------------------------------------------------
@@ -52,16 +52,13 @@ class Hypergraph:
         and cached.
         """
         if self._adj is None:
-            a = (self._h @ self._ht).tocsr()
+            a = (self._h @ self._h.T).tocsr()
             a.setdiag(0)
             a.eliminate_zeros()
             a.sort_indices()
             self._adj = (a.indptr.copy(), a.indices.astype(np.int64),
                          a.data.astype(np.int64))
         return self._adj
-
-    def __repr__(self) -> str:
-        return f"Hypergraph(n={self.num_nodes}, m={self.num_edges})"
 
 
 def build(edge_node_lists: Sequence[Sequence[int]],

@@ -41,7 +41,7 @@ def build_activation_sets(ic: InfluenceColumns, theta: float) -> sp.csr_matrix:
     normalized influence from ``u`` strictly exceeds ``theta``: the row ids
     of column ``u``'s entries of ``ic.columns`` above ``theta``, from one
     mask over the entries, no division and no per-entry column ids."""
-    if theta < 0:
+    if not theta >= 0:  # rejects nan
         raise ConfigError(f"activation threshold must be >= 0, got {theta}")
     cols = ic.columns
     pos = np.flatnonzero(cols.data > theta)
@@ -253,6 +253,17 @@ def build_feature_balls(ps: PropagationState, radius: float) -> FeatureBalls:
     return FeatureBalls(ps.propagated_features, radius)
 
 
+def _node_ids(ids, n: int) -> np.ndarray:
+    """``ids`` as int64; ``DataError`` unless each is an integer in [0, n)."""
+    ids = np.asarray(ids)  # object past int64; float64 for an empty list
+    if ids.size and ids.dtype.kind not in "iu":
+        raise DataError(f"node ids must be integers, got {ids.flat[0]}")
+    bad = (ids < 0) | (ids >= n)
+    if bad.any():
+        raise DataError(f"node id {ids[bad][0]} out of range")
+    return ids.astype(np.int64, copy=False)
+
+
 def _check_beta(beta: float) -> None:
     if not 0.0 < beta < 1.0:
         raise ConfigError(f"diffusion probability beta must lie in (0, 1), got {beta}")
@@ -267,8 +278,8 @@ class CoverageState:
     ``sets`` (:meth:`FeatureBalls.unions`; row ``c`` is ``U_c``) and keeps
     ``covered``, its own covered set. A MoI gain counts one row's
     uncovered ids; ``sets`` is never written. The EDV gains are one mat-vec
-    of the adjacency-count CSR against the evasion probabilities of the
-    non-seed nodes. :meth:`add` sums its node's :meth:`gains` into
+    of the adjacency-count CSR against the evasion probabilities, which are
+    0 at the seeds. :meth:`add` sums its node's :meth:`gains` into
     ``moi_value`` and ``edv_value`` and marks its row covered.
 
     Single-writer; :meth:`gains` is a pure read and may be evaluated for
@@ -283,6 +294,7 @@ class CoverageState:
         self.sets = balls.unions(acts)
         self.covered = self.sets.empty()
         self._adj = g.adjacency()
+        # marks the seeds, as evasion cannot: a non-seed's can underflow to 0
         self.in_seed = np.zeros(g.num_nodes, dtype=bool)
         self.evasion = np.ones(g.num_nodes, dtype=np.float64)
         self.moi_value = 0
@@ -293,10 +305,7 @@ class CoverageState:
     def gains(self, cands) -> tuple[np.ndarray, np.ndarray]:
         """MoI (int64) and EDV (float64) gains of seeding each node of
         ``cands`` alone, without mutating."""
-        cands = np.asarray(cands, dtype=np.int64)
-        bad = (cands < 0) | (cands >= self.graph.num_nodes)
-        if bad.any():
-            raise DataError(f"node id {cands[bad][0]} out of range")
+        cands = _node_ids(cands, self.graph.num_nodes)
         seeded = self.in_seed[cands]
         if seeded.any():
             raise DataError(f"node {cands[seeded][0]} is already a seed")
@@ -317,10 +326,9 @@ class CoverageState:
         shift = np.repeat(start + lens - np.cumsum(lens), lens)
         pos = shift + np.arange(shift.size)
         nb = adj_ids[pos]
-        free = self.evasion[nb] * ~self.in_seed[nb]
-        # the sparse mat-vec of those rows with free: each row sums its
+        # the sparse mat-vec of those rows with evasion: each row sums its
         # entries in order, so a gain does not depend on its batch
-        sums = np.bincount(row, weights=adj_counts[pos] * free,
+        sums = np.bincount(row, weights=adj_counts[pos] * self.evasion[nb],
                            minlength=cands.size)
         return self.evasion[cands] + self.beta / d * sums
 
@@ -328,10 +336,9 @@ class CoverageState:
 
     def add(self, v: int) -> "CoverageState":
         """Seed ``v``: add its :meth:`gains` (which check ``v``) to the
-        values, mark row ``v`` of ``sets`` covered and update evasion
-        products for v's non-seed neighbors."""
+        values, mark row ``v`` of ``sets`` covered, scale the evasion of
+        v's neighbors (a seed's 0 stays 0) and set v's own to 0."""
         moi, diffusion = self.gains([v])
-        v = int(v)
         self.sets.cover(self.covered, v)
         self.moi_value += int(moi[0])
         self.edv_value += float(diffusion[0])
@@ -339,9 +346,8 @@ class CoverageState:
         adj_ptr, adj_ids, adj_counts = self._adj
         nb = adj_ids[adj_ptr[v]:adj_ptr[v + 1]]
         ct = adj_counts[adj_ptr[v]:adj_ptr[v + 1]]
-        free = ~self.in_seed[nb]
-        d_v = self.graph.node_degree[v]
-        self.evasion[nb[free]] *= 1.0 - self.beta * ct[free] / d_v
+        self.evasion[nb] *= 1.0 - self.beta * ct / self.graph.node_degree[v]
+        self.evasion[v] = 0.0
         self.in_seed[v] = True
         return self
 
@@ -349,11 +355,7 @@ class CoverageState:
 def edv(g: Hypergraph, seeds, beta: float) -> float:
     """Expected diffusion value of a seed set, evaluated from scratch."""
     _check_beta(beta)
-    seed_arr = np.asarray(sorted(set(int(s) for s in seeds)), dtype=np.int64)
-    if seed_arr.size == 0:
-        return 0.0
-    if seed_arr[0] < 0 or seed_arr[-1] >= g.num_nodes:
-        raise DataError("seed id out of range")
+    seed_arr = np.unique(_node_ids(list(seeds), g.num_nodes))
     in_seed = np.zeros(g.num_nodes, dtype=bool)
     in_seed[seed_arr] = True
     evasion = np.ones(g.num_nodes, dtype=np.float64)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_integer
 from .hypergraph import Hypergraph
 
 __all__ = [
@@ -82,6 +82,7 @@ class InfluenceColumns:
 def _check_alpha_k(alpha: float, k: int) -> None:
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
+    check_integer("k", k)
     if k < 0:
         raise ConfigError(f"step count must be non-negative, got {k}")
 

@@ -14,14 +14,13 @@ identical seed sequences.
 from __future__ import annotations
 
 import heapq
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import objective, propagation
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .hypergraph import Hypergraph
 
 __all__ = [
@@ -37,13 +36,6 @@ __all__ = [
 AUTO = "auto"
 # radius=auto is this quantile of sampled pairwise feature distances
 RADIUS_QUANTILE = 0.05
-
-
-def _check_integer(name: str, value) -> None:
-    try:  # any integer type, numpy's included
-        operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -68,7 +60,7 @@ class SelectionConfig:
 
     def validate(self, num_nodes: int) -> None:
         for name in ("budget", "k", "rng_seed"):
-            _check_integer(name, getattr(self, name))
+            check_integer(name, getattr(self, name))
         pool = self.resolve_pool(num_nodes)
         if not 1 <= self.budget <= pool.size:
             raise ConfigError(
@@ -98,7 +90,7 @@ class SelectionConfig:
         if self.candidate_pool is None:
             return np.arange(num_nodes, dtype=np.int64)
         for v in self.candidate_pool:
-            _check_integer("candidate pool id", v)
+            check_integer("candidate pool id", v)
         ids = sorted(set(self.candidate_pool))  # in range before int64
         if not ids:
             raise ConfigError("candidate pool is empty")

@@ -383,6 +383,28 @@ def test_duplicate_add_rejected():
         assert np.array_equal(state.covered, covered)
 
 
+@pytest.mark.parametrize("call,error", [
+    (lambda g, ic, state: state.add(1.5), DataError),
+    (lambda g, ic, state: state.gains([2**70]), DataError),
+    (lambda g, ic, state: edv(g, [1.5], 0.3), DataError),
+    (lambda g, ic, state: edv(g, [2**70], 0.3), DataError),
+    (lambda g, ic, state: build_activation_sets(ic, float("nan")),
+     ConfigError),
+    (lambda g, ic, state: influence_columns(build_hoi_transition(g), 1.5,
+                                            0.8), ConfigError),
+], ids=["add-float", "gains-past-int64", "edv-float", "edv-past-int64",
+        "theta-nan", "k-float"])
+def test_bad_library_arguments_rejected(call, error):
+    """A non-integer id or step count, an id past int64 and a NaN threshold
+    raise the package's errors, never a truncated or empty result."""
+    rng, g, edges, n, ps, ic, m_k = make_instance(3)
+    state = CoverageState(g, build_activation_sets(ic, 0.05),
+                          build_feature_balls(ps, 1.0), 0.3)
+    with pytest.raises(error):
+        call(g, ic, state)
+    assert not state.in_seed.any() and state.edv_value == 0.0
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_incremental_matches_scratch(seed):
     rng, g, edges, n, m_k, acts, balls, state, oballs, theta, beta = \
@@ -396,6 +418,10 @@ def test_incremental_matches_scratch(seed):
         expect_edv = oracles.edv_value(edges, n, chosen, beta)
         assert state.moi_value == expect_moi
         assert state.edv_value == pytest.approx(expect_edv, abs=1e-9)
+        # a seed's evasion is 0, so EDV(S) is the sum of 1 - evasion
+        assert state.evasion[chosen].tolist() == [0.0] * len(chosen)
+        assert state.edv_value == pytest.approx(n - state.evasion.sum(),
+                                                abs=1e-9)
         # evasion invariant
         live = ~state.in_seed
         assert np.all(state.evasion[live] > 0)
