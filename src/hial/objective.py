@@ -39,15 +39,18 @@ __all__ = [
 def build_activation_sets(ic: InfluenceColumns, theta: float) -> sp.csr_matrix:
     """Boolean CSR whose row ``u`` is ``A_u``, the sorted ids ``j`` whose
     normalized influence from ``u`` strictly exceeds ``theta``: the row ids
-    of column ``u``'s entries of ``ic.columns`` above ``theta``, from one
-    mask over the entries, no division and no per-entry column ids."""
+    of column ``u``'s entries of ``ic.columns`` above ``theta``. One mask
+    over the entries keeps them in a boolean CSR, with no division and no
+    per-entry row ids, whose transpose, turned into CSR, lists each row's
+    ids sorted."""
     if not theta >= 0:  # rejects nan
         raise ConfigError(f"activation threshold must be >= 0, got {theta}")
     cols = ic.columns
     pos = np.flatnonzero(cols.data > theta)
     indptr = np.searchsorted(pos, cols.indptr)
-    return sp.csr_matrix((np.ones(pos.size, dtype=bool), cols.indices[pos],
+    kept = sp.csr_matrix((np.ones(pos.size, dtype=bool), cols.indices[pos],
                           indptr), shape=cols.shape)
+    return kept.T.tocsr()
 
 
 class FeatureBalls:
@@ -121,26 +124,64 @@ class FeatureBalls:
         return n + hits * n * (n - 1) // max(1, u.size)
 
     def _fill(self, x: np.ndarray, sq: np.ndarray, words: int) -> np.ndarray:
-        """Bitsets from ``BLOCK_BYTES`` blocks of |a|²+|b|²-2a·b in products
-        of ≤ 2^18 multiply-adds, which OpenBLAS keeps on this thread (waking
-        its workers per block stalls a busy host); a pair within ``tol`` of
-        r² (both forms' rounding bound) is decided by :meth:`_within`."""
-        (n, d), xt = x.shape, -2.0 * x.T
+        """Bitsets from the tiles on or above the diagonal only, each 64
+        rows by the columns of about ``BLOCK_BYTES`` of squared distances,
+        one product of ``[x, |x|², 1]`` and ``[−2x, 1, |x|²]ᵀ`` computed
+        in products of ≤ 2^18 multiply-adds, which OpenBLAS keeps on this
+        thread (waking its workers per tile stalls a busy host). A tile's
+        rows are packed in place, and its part right of the diagonal block
+        lands mirrored in its columns' rows: 64 rows are 8 whole bytes, one
+        weighted sum per 8 rows (on a 64 x 2048 tile, ``packbits`` along
+        the rows or a transposed copy took 10-25x as long).
+
+        A pair within ``tol`` of r² is decided by :meth:`_within`, whose
+        test is symmetric, and every other pair agrees with it, so the
+        bitset is symmetric and its bits do not depend on the BLAS kernel.
+        With ``ε`` the float64 epsilon and ``M = max|x|²``, a tile entry
+        errs by at most ``(d+2)ε`` times its terms' magnitudes,
+        ``2|x_a||x_b| + |x_a|² + |x_b|² ≤ 4M``, plus ``dε·M`` for each of
+        its two stored norms: ``(6d+8)ε·M``. :meth:`_within` errs by at most
+        ``(d+3)ε·r²`` near r². Their sum stays below ``tol``."""
+        n, d = x.shape
         tol = 4 * np.finfo(np.float64).eps * (
             (4 * d + 6) * float(sq.max(initial=0.0)) + (d + 1) * self._r2)
+        lhs = np.empty((n, d + 2))
+        lhs[:, :d], lhs[:, d], lhs[:, d + 1] = x, sq, 1.0
+        rhs = np.empty((d + 2, n))
+        np.multiply(x.T, -2.0, out=rhs[:d])
+        rhs[d], rhs[d + 1] = 1.0, sq
         out = np.zeros((n, 8 * words), dtype=np.uint8)
-        m = max(1, self.BLOCK_BYTES // (8 * max(1, n)))  # rows per block
-        c = max(1, (1 << 18) // (m * max(1, d)))  # columns per product
+        m = 64  # rows per block
+        w = max(8, self.BLOCK_BYTES // (64 * m) * 8)  # columns per tile
+        c = max(1, (1 << 18) // (m * (d + 2)))  # columns per product
+        lo, hi = self._r2 - tol, self._r2 + tol
+        # one tile's buffers, reused: fresh ones would fault in their pages
+        bufs = (np.empty(m * w), np.empty(m * w, dtype=bool),
+                np.empty(m * w, dtype=bool), np.empty(m * w, dtype=np.uint8))
+        weights = (1 << np.arange(8, dtype=np.uint8))[:, None]
         for a in range(0, n, m):
-            dist = np.empty((min(m, n - a), n))
-            for b in range(0, n, c):  # exactly -2 times the products
-                np.matmul(x[a:a + m], xt[:, b:b + c], out=dist[:, b:b + c])
-            dist += sq[a:a + m, None]
-            dist += sq
-            hit = dist <= self._r2 - tol
-            k = np.flatnonzero(~(hit | (dist > self._r2 + tol)))  # or NaN
-            hit.flat[k] = self._within(x, k // n + a, k % n)
-            out[a:a + m, :-(-n // 8)] = np.packbits(hit, 1, bitorder="little")
+            for b in range(a, n, w):
+                rows, cols = min(m, n - a), min(w, n - b)
+                dist, hit, odd, bits = (
+                    buf[:rows * cols].reshape(rows, cols) for buf in bufs)
+                for s in range(0, cols, c):
+                    np.matmul(lhs[a:a + m], rhs[:, b + s:b + min(s + c, cols)],
+                              out=dist[:, s:s + c])
+                np.less_equal(dist, lo, out=hit)
+                np.greater(dist, hi, out=odd)
+                odd |= hit
+                np.logical_not(odd, out=odd)  # within tol of r², or NaN
+                k = np.flatnonzero(odd)
+                hit.flat[k] = self._within(x, k // cols + a, k % cols + b)
+                out[a:a + m, b // 8:(b + cols + 7) // 8] = np.packbits(
+                    hit, 1, bitorder="little")
+                s = max(0, a + m - b)  # first column right of the diagonal
+                if s < cols:  # block, which then holds 64 rows: 8 bytes
+                    grouped = np.multiply(
+                        hit[:, s:].view(np.uint8).reshape(8, 8, cols - s),
+                        weights, out=bits[:, s:].reshape(8, 8, cols - s))
+                    out[b + s:b + cols, a // 8:a // 8 + 8] = grouped.sum(
+                        axis=1, dtype=np.uint8).T
         return out.view(np.uint64)
 
     def _build_index(self, points: np.ndarray) -> sp.csr_matrix:

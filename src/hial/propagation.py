@@ -15,7 +15,7 @@ k-step feature is a scalar ``M_k[j, u]`` obeying the same recurrence with
 the identity as input, and the row sums ``s_j = sum_l M_k[j, l]`` obey it
 with the ones vector as input. One helper runs that recurrence for all
 three: the features, the ones vector and the sparse identity. ``M_k`` is
-divided by its row sums in place and kept as one sparse n x n matrix
+divided by its row sums in place and kept as one sparse n x n CSR matrix
 ``M_k[j, u] / s_j`` next to the row-sum vector; no dense n x n matrix is
 ever formed.
 """
@@ -67,15 +67,16 @@ class PropagationState:
 
 @dataclass(frozen=True)
 class InfluenceColumns:
-    """The row-normalized influence matrix, stored by column.
+    """The row-normalized influence matrix, stored by row.
 
     ``columns[j, u]`` is ``M_k[j, u] / row_sums[j]``, the normalized
-    influence of node ``u`` on node ``j``, and ``row_sums[j]`` is the row
-    normalizer ``sum_l M_k[j, l]``; ``columns * row_sums[:, None]`` gives
-    back ``M_k``.
+    influence of node ``u`` on node ``j`` (column ``u`` holds node ``u``'s
+    influence on every node), and ``row_sums[j]`` is the row normalizer
+    ``sum_l M_k[j, l]``; ``columns * row_sums[:, None]`` gives back
+    ``M_k``.
     """
 
-    columns: sp.csc_matrix          # n x n, entries in (0, 1]
+    columns: sp.csr_matrix          # n x n, entries in (0, 1]
     row_sums: np.ndarray            # float64, length n
 
 
@@ -171,17 +172,16 @@ def influence_columns(t: TransitionMatrix, k: int,
     """The row-normalized influence matrix, plus its row sums.
 
     ``M_k`` is the recurrence run once on the sparse identity (k sparse
-    products), turned into CSC with sorted indices and divided by the row
-    sums in place; no dense n x n matrix is formed.
+    products), kept in the CSR the products return and divided by the row
+    sums in place, each row's run of entries by its own sum; no dense
+    n x n matrix and no copy of the matrix is formed.
     """
     _check_alpha_k(alpha, k)
     if t.num_nodes == 0:
         raise DataError("hypergraph has no nodes")
     row_sums = row_sum_vector(t, k, alpha)
-    cols = _recurrence(t, sp.identity(t.num_nodes, format="csr"), k,
-                       alpha).tocsc()
-    cols.eliminate_zeros()
-    cols.sort_indices()
+    mat = _recurrence(t, sp.identity(t.num_nodes, format="csr"), k, alpha)
+    mat.eliminate_zeros()
     # a row sum is strictly positive wherever the row has a nonzero entry
-    cols.data /= row_sums[cols.indices]
-    return InfluenceColumns(cols, row_sums)
+    mat.data /= np.repeat(row_sums, np.diff(mat.indptr))
+    return InfluenceColumns(mat, row_sums)

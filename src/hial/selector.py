@@ -138,7 +138,7 @@ def _resolve_theta(cfg: SelectionConfig, ic: propagation.InfluenceColumns,
     in_pool = np.zeros(cols.shape[1], dtype=bool)
     in_pool[pool] = True
     # a boolean mask over the entries: no int64 position per entry
-    norm = cols.data[np.repeat(in_pool, np.diff(cols.indptr))]
+    norm = cols.data[in_pool[cols.indices]]
     if norm.size == 0:
         raise ConfigError("no nonzero influence entries; cannot auto-resolve theta")
     # norm is a copy, so the quantile may partition it in place

@@ -12,6 +12,7 @@ incidence and adjacency; only the tests need them.
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 from hial import DataError
 
@@ -58,6 +59,46 @@ def dense_influence_matrix(t_dense, k, alpha):
     for _ in range(k):
         m = alpha * (t_dense @ m) + (1 - alpha) * np.eye(n)
     return m
+
+
+def csc_theta_and_activation_sets(t_csr, k, alpha, pool, quantile):
+    """Auto θ and the activation sets, bit for bit, the column-stored way:
+    the sparse recurrence ``M <- a T M + (1-a) I`` from the identity and
+    ``s <- a T s + (1-a) 1`` from the ones (the same products, so the same
+    bits; a dense product would round differently), ``M`` turned into CSC
+    with sorted row ids and each entry divided by its row's sum. θ is the
+    ``quantile`` of the entries in the pool's columns; set ``u`` lists the
+    row ids of column ``u``'s entries above θ for ``u`` in the pool and is
+    empty outside it. Returns θ and the sets' ``indptr`` and ``indices``."""
+    n = t_csr.shape[0]
+    eye, ones = sp.identity(n, format="csr"), np.ones(n)
+    m, s = eye, ones
+    for _ in range(k):
+        m = t_csr @ m
+        m *= alpha
+        m = m + (1.0 - alpha) * eye
+        s = t_csr @ s
+        s *= alpha
+        s = s + (1.0 - alpha) * ones
+    cols = m.tocsc()
+    cols.eliminate_zeros()
+    cols.sort_indices()
+    cols.data /= s[cols.indices]
+
+    def column(u):
+        lo, hi = cols.indptr[u], cols.indptr[u + 1]
+        return cols.indices[lo:hi], cols.data[lo:hi]
+
+    theta = float(np.quantile(
+        np.concatenate([column(u)[1] for u in pool]), quantile))
+    pool = set(int(u) for u in pool)
+    indptr, indices = [0], []
+    for u in range(n):
+        if u in pool:
+            rows, vals = column(u)
+            indices.extend(rows[vals > theta].tolist())
+        indptr.append(len(indices))
+    return theta, np.array(indptr), np.array(indices, dtype=np.int64)
 
 
 def dense_propagate(t_dense, x0, k, alpha):

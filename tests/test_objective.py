@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -184,6 +185,51 @@ def test_balls_exact_ties_on_integer_grid(r, shift):
     balls = FeatureBalls(pts, r)
     assert (balls._bits is None) == (r == 0.0)  # r > 0 fills the bitset
     assert_balls_match_oracle(balls, pts, r)
+
+
+def unpacked(bits, n):
+    """The bitset as an n x n boolean matrix; its bits past ``n`` are 0."""
+    full = np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little")
+    assert not full[:, n:].any()
+    return full[:, :n].astype(bool)
+
+
+# 6x5x5 grid points and 25 duplicates: 175 points, three 64-row blocks and
+# n % 8 = 7, so tie pairs reach the mirrored tiles and the last byte is
+# partial; fewer BLOCK_BYTES split the column tiles inside the diagonal
+# block (8 columns) and across its edge (24, 40, 72 columns)
+TIE_GRID = np.stack(np.meshgrid(np.arange(6.0), np.arange(5.0),
+                                np.arange(5.0)), -1).reshape(-1, 3)
+TIE_POINTS = np.concatenate([TIE_GRID, TIE_GRID[
+    np.random.default_rng(17).choice(len(TIE_GRID), 25)]])[
+    np.random.default_rng(18).permutation(len(TIE_GRID) + 25)]
+TIE_RADII = (0.0, 1.0, np.sqrt(2.0), 2.0)
+
+
+@functools.cache
+def tie_balls(r):
+    return oracles.feature_balls(TIE_POINTS, r)
+
+
+@pytest.mark.parametrize("block_bytes", [
+    pytest.param(b, id=f"{b}B") for b in (1 << 20, 8, 3 << 12, 5 << 12,
+                                          9 << 12)])
+@pytest.mark.parametrize("r,shift", [
+    *[pytest.param(r, 0.0, id=str(r)) for r in TIE_RADII],
+    *[pytest.param(r, 2.0 ** 27, id=f"{r}-shifted") for r in TIE_RADII]])
+def test_fill_ties_reach_mirrored_tiles(r, shift, block_bytes, monkeypatch):
+    """Ties decided in one row block land mirrored in the rows of another:
+    the bitset equals its transpose and the oracle, whatever the tiles."""
+    monkeypatch.setattr(FeatureBalls, "BLOCK_BYTES", block_bytes)
+    pts = TIE_POINTS + shift
+    n = pts.shape[0]
+    d2 = ((TIE_POINTS[:, None] - TIE_POINTS[None]) ** 2).sum(axis=2)
+    assert (d2 == round(r * r))[:64, 64:].any()  # ties past block 0
+    balls = FeatureBalls(pts, r)
+    bits = unpacked(balls._fill(pts, squared_norms(pts), -(-n // 64)), n)
+    assert (bits == bits.T).all()
+    for u in range(n):
+        assert set(np.flatnonzero(bits[u]).tolist()) == tie_balls(r)[u]
 
 
 @pytest.mark.parametrize("d", [4, 8, 32])

@@ -102,6 +102,28 @@ def test_restricted_pool_normalizer_covers_all_nodes(seed):
         np.quantile(norm, ctx.config.theta_quantile), rel=1e-9)
 
 
+@pytest.mark.parametrize("backend", ["hoi", "hgnn"])
+@pytest.mark.parametrize("pool", [None, (0, 2, 5)], ids=["all", "pool"])
+@pytest.mark.parametrize("seed", range(4))
+def test_theta_and_activation_sets_match_csc_oracle(seed, pool, backend):
+    """Auto θ and the activation sets of ``prepare`` equal, bit for bit,
+    those of the column-stored pass: CSC with sorted ids, one mask per
+    column, and the pool's rows alone non-empty."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 61))
+    g = build(oracles.random_hypergraph(rng, n, n), num_nodes=n)
+    ctx = prepare(g, rng.normal(size=(n, 4)), SelectionConfig(
+        budget=3, radius=0.8, backend=backend, candidate_pool=pool,
+        theta_quantile=0.5))
+    cfg = ctx.config
+    t = build_transition(g, backend)
+    theta, indptr, indices = oracles.csc_theta_and_activation_sets(
+        t.matrix, cfg.k, cfg.alpha, ctx.pool, cfg.theta_quantile)
+    assert cfg.theta == theta
+    np.testing.assert_array_equal(ctx.acts.indptr, indptr)
+    np.testing.assert_array_equal(ctx.acts.indices, indices)
+
+
 def test_auto_theta_full_pool_memory_bounded():
     """θ=auto over every node copies the matrix's entries once and holds
     no position array beside them."""
