@@ -13,11 +13,14 @@ Propagation mixes the smoothed signal with the initial features:
 and channel-wise, the influence of node u's initial feature on node j's
 k-step feature is a scalar ``M_k[j, u]`` obeying the same recurrence with
 the identity as input, and the row sums ``s_j = sum_l M_k[j, l]`` obey it
-with the ones vector as input. One helper runs that recurrence for all
-three: the features, the ones vector and the sparse identity. ``M_k`` is
-divided by its row sums in place and kept as one sparse n x n CSR matrix
-``M_k[j, u] / s_j`` next to the row-sum vector; no dense n x n matrix is
-ever formed.
+with the ones vector as input. The features and the ones vector run that
+recurrence as dense arrays. ``M_k`` is kept as one sparse n x n CSR matrix
+``M_k[j, u] / s_j`` next to the row-sum vector, and no dense n x n matrix
+is ever formed. Its first step is ``T`` itself, and each later step is one
+sparse product whose own entries are scaled, shifted on the diagonal and,
+at the last step, divided by the row sums in place. So at most three
+matrices are alive at once: ``T`` (copied only to give its empty rows a
+diagonal entry), the previous step and the product being built.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ __all__ = [
 
 HOI = "hoi"
 HGNN = "hgnn"
+# a pass over a matrix's entries takes rows of about this many at a time
+BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -135,10 +140,10 @@ def _symmetric_normalize(l: sp.csr_matrix) -> sp.csr_matrix:
     return out
 
 
-def _recurrence(t: TransitionMatrix, x0, k: int, alpha: float):
-    """``x`` after ``k`` steps of ``x <- alpha T x + (1 - alpha) x0``, for a
-    dense array or a sparse matrix ``x0``. Scaling the product in place
-    gives the same bits as ``alpha * (T @ x)`` and holds one copy less."""
+def _recurrence(t: TransitionMatrix, x0: np.ndarray, k: int, alpha: float):
+    """``x`` after ``k`` steps of ``x <- alpha T x + (1 - alpha) x0`` for a
+    dense ``x0``. Scaling the product in place gives the same bits as
+    ``alpha * (T @ x)`` and holds one copy less."""
     x = x0
     for _ in range(k):
         x = t.matrix @ x
@@ -171,17 +176,91 @@ def influence_columns(t: TransitionMatrix, k: int,
                       alpha: float) -> InfluenceColumns:
     """The row-normalized influence matrix, plus its row sums.
 
-    ``M_k`` is the recurrence run once on the sparse identity (k sparse
-    products), kept in the CSR the products return and divided by the row
-    sums in place, each row's run of entries by its own sum; no dense
-    n x n matrix and no copy of the matrix is formed.
+    ``M_k`` is the recurrence ``M <- alpha T M + (1 - alpha) I`` run from
+    the identity. Its first step is ``T`` scaled, and each later step one
+    product with ``T′``, which is ``T`` with a stored 1.0 on the diagonal
+    of each empty row. The step's ``alpha``, its ``(1 - alpha)`` diagonal
+    term and, at the end, the division by the row sums are applied to the
+    step's own entries in place, so the last product is the only
+    allocation of its size: the peak holds ``T′``, ``M_{k-1}`` and
+    ``M_k``. Each entry has the bits of the summed recurrence, though a
+    row may list its entries in another order.
     """
     _check_alpha_k(alpha, k)
-    if t.num_nodes == 0:
+    n = t.num_nodes
+    if n == 0:
         raise DataError("hypergraph has no nodes")
     row_sums = row_sum_vector(t, k, alpha)
-    mat = _recurrence(t, sp.identity(t.num_nodes, format="csr"), k, alpha)
+    if k == 0:
+        mat = sp.identity(n, format="csr")
+    else:
+        tp, empty = _with_empty_diagonal(t.matrix)
+        mat = _shift_diagonal(tp.copy(), alpha, empty)
+        for _ in range(k - 1):
+            mat = _shift_diagonal(tp @ mat, alpha, empty)
     mat.eliminate_zeros()
     # a row sum is strictly positive wherever the row has a nonzero entry
-    mat.data /= np.repeat(row_sums, np.diff(mat.indptr))
+    for r0, r1 in _row_blocks(mat.indptr):
+        lo, hi = mat.indptr[r0], mat.indptr[r1]
+        mat.data[lo:hi] /= np.repeat(row_sums[r0:r1],
+                                     np.diff(mat.indptr[r0:r1 + 1]))
     return InfluenceColumns(mat, row_sums)
+
+
+def _row_blocks(indptr: np.ndarray):
+    """Row ranges ``[r0, r1)`` of about ``BLOCK_ENTRIES`` entries each; a
+    longer row is a block alone."""
+    n, r0 = indptr.size - 1, 0
+    while r0 < n:
+        r1 = int(np.searchsorted(indptr, indptr[r0] + BLOCK_ENTRIES,
+                                 side="right")) - 1
+        r1 = max(r1, r0 + 1)
+        yield r0, r1
+        r0 = r1
+
+
+def _with_empty_diagonal(m: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+    """``T′``: ``m`` with a stored 1.0 on the diagonal of each empty row,
+    so that a product's row there copies the right factor's row, and a
+    mask of those rows. Every other row keeps its entries in their order,
+    which fixes the order of each product sum and so its bits."""
+    counts = np.diff(m.indptr)
+    empty = counts == 0
+    rows = np.flatnonzero(empty)
+    if rows.size == 0:
+        return m, empty
+    at = m.indptr[rows]
+    indptr = np.concatenate(([0], np.cumsum(np.maximum(counts, 1))))
+    tp = sp.csr_matrix((np.insert(m.data, at, 1.0),
+                        np.insert(m.indices, at, rows.astype(m.indices.dtype)),
+                        indptr.astype(m.indptr.dtype)), shape=m.shape)
+    return tp, empty
+
+
+def _shift_diagonal(p: sp.csr_matrix, alpha: float,
+                    empty: np.ndarray) -> sp.csr_matrix:
+    """``alpha p + (1 - alpha) I`` for a step ``p = T′ M``, whose rows that
+    are empty in ``T`` (``empty``) copy ``M``'s and get exactly ``1 - alpha``,
+    the recurrence's value there. Scaled and shifted in ``p``'s own data;
+    only rows that store no diagonal entry (each row of hoi's first step,
+    or one whose diagonal underflowed to zero) make a new matrix,
+    ``p + (1 - alpha) I`` over those rows, with the same bits."""
+    p.data *= alpha
+    restart = 1.0 - alpha
+    missing = []
+    for r0, r1 in _row_blocks(p.indptr):
+        lo, hi = p.indptr[r0], p.indptr[r1]
+        rows = np.repeat(np.arange(r0, r1, dtype=p.indices.dtype),
+                         np.diff(p.indptr[r0:r1 + 1]))
+        at = np.flatnonzero(p.indices[lo:hi] == rows) + lo
+        on = p.indices[at]
+        p.data[at] += restart
+        p.data[at[empty[on]]] = restart
+        has = np.zeros(r1 - r0, dtype=bool)
+        has[on - r0] = True
+        missing.append(np.flatnonzero(~has) + r0)
+    missing = np.concatenate(missing)
+    if missing.size and restart:  # alpha = 1 has no diagonal term to add
+        p = p + sp.csr_matrix((np.full(missing.size, restart),
+                               (missing, missing)), shape=p.shape)
+    return p

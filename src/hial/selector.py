@@ -135,10 +135,13 @@ def _resolve_theta(cfg: SelectionConfig, ic: propagation.InfluenceColumns,
     if cfg.theta != AUTO:
         return float(cfg.theta)
     cols = ic.columns
-    in_pool = np.zeros(cols.shape[1], dtype=bool)
-    in_pool[pool] = True
-    # a boolean mask over the entries: no int64 position per entry
-    norm = cols.data[in_pool[cols.indices]]
+    if pool.size == cols.shape[1]:  # every column: a plain copy
+        norm = cols.data.copy()
+    else:
+        in_pool = np.zeros(cols.shape[1], dtype=bool)
+        in_pool[pool] = True
+        # a boolean mask over the entries: no int64 position per entry
+        norm = cols.data[in_pool[cols.indices]]
     if norm.size == 0:
         raise ConfigError("no nonzero influence entries; cannot auto-resolve theta")
     # norm is a copy, so the quantile may partition it in place
@@ -156,8 +159,16 @@ def _resolve_radius(cfg: SelectionConfig, feats: np.ndarray) -> float:
     i = rng.integers(0, n, size=n_pairs)
     j = rng.integers(0, n - 1, size=n_pairs)
     j = np.where(j >= i, j + 1, j)  # distinct pair without rejection
-    dist = np.linalg.norm(feats[i] - feats[j], axis=1)
-    return float(np.quantile(dist, RADIUS_QUANTILE))
+    # pairs whose two gathered rows take about 1 MiB at a time; each
+    # distance has the bits of the whole sample's
+    dist = np.empty(n_pairs)
+    pair_bytes = 16 * max(1, feats.shape[1])
+    step = max(1, objective.FeatureBalls.BLOCK_BYTES // pair_bytes)
+    for s in range(0, n_pairs, step):
+        diff = feats[i[s:s + step]]
+        diff -= feats[j[s:s + step]]
+        dist[s:s + step] = np.linalg.norm(diff, axis=1)
+    return float(np.quantile(dist, RADIUS_QUANTILE, overwrite_input=True))
 
 
 def normalizers(g: Hypergraph, sigma_all: np.ndarray,

@@ -61,6 +61,27 @@ def dense_influence_matrix(t_dense, k, alpha):
     return m
 
 
+def summed_influence_columns(t_csr, k, alpha):
+    """The row-normalized influence matrix and its row sums by the summed
+    sparse recurrence ``M <- a T M + (1-a) I`` from the identity, each step
+    a new product scaled and then added to ``(1-a) I`` (and ``s <- a T s +
+    (1-a) 1`` from the ones), zeros dropped and each entry divided by its
+    row's sum. Returns the CSR matrix and the row sums."""
+    n = t_csr.shape[0]
+    eye, ones = sp.identity(n, format="csr"), np.ones(n)
+    m, s = eye, ones
+    for _ in range(k):
+        m = t_csr @ m
+        m *= alpha
+        m = m + (1.0 - alpha) * eye
+        s = t_csr @ s
+        s *= alpha
+        s = s + (1.0 - alpha) * ones
+    m.eliminate_zeros()
+    m.data /= np.repeat(s, np.diff(m.indptr))
+    return m, s
+
+
 def csc_theta_and_activation_sets(t_csr, k, alpha, pool, quantile):
     """Auto θ and the activation sets, bit for bit, the column-stored way:
     the sparse recurrence ``M <- a T M + (1-a) I`` from the identity and
@@ -99,6 +120,19 @@ def csc_theta_and_activation_sets(t_csr, k, alpha, pool, quantile):
             indices.extend(rows[vals > theta].tolist())
         indptr.append(len(indices))
     return theta, np.array(indptr), np.array(indices, dtype=np.int64)
+
+
+def sampled_radius(feats, seed, quantile, max_pairs=20000):
+    """The ``quantile`` of the distances of up to ``max_pairs`` distinct
+    node pairs drawn from ``seed``, every pair's rows gathered at once."""
+    n = feats.shape[0]
+    rng = np.random.default_rng(seed)
+    n_pairs = min(max_pairs, n * (n - 1) // 2)
+    i = rng.integers(0, n, size=n_pairs)
+    j = rng.integers(0, n - 1, size=n_pairs)
+    j = np.where(j >= i, j + 1, j)
+    return float(np.quantile(np.linalg.norm(feats[i] - feats[j], axis=1),
+                             quantile))
 
 
 def dense_propagate(t_dense, x0, k, alpha):

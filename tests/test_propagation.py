@@ -9,10 +9,12 @@ from hial import (
     build,
     build_hgnn_transition,
     build_hoi_transition,
+    build_transition,
     influence_columns,
     propagate,
 )
-from hial.propagation import row_sum_vector
+from hial import propagation
+from hial.propagation import TransitionMatrix, row_sum_vector
 import oracles
 
 
@@ -209,6 +211,71 @@ def test_influence_columns_memory_bounded_by_output():
             + ic.row_sums.nbytes)
     assert n < c.nnz < n * n  # neither the identity nor dense
     assert peak < 3 * held
+
+
+def random_graph(rng, n, m, max_size, isolated):
+    """Random hyperedges over ``n`` ids. With ``isolated``, 20 more ids in
+    no hyperedge and one alone in a singleton hyperedge (an empty hoi row);
+    else a chain of pairs over every id first, so no row is empty."""
+    edges = oracles.random_hypergraph(rng, n, m, max_size)
+    if isolated:
+        return build(edges + [[n]], num_nodes=n + 21)
+    return build([[u, u + 1] for u in range(n - 1)] + edges, num_nodes=n)
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["block", "tiny-block"])
+@pytest.mark.parametrize("scale", [1.0, 1e-170], ids=["plain", "underflow"])
+@pytest.mark.parametrize("isolated", [False, True],
+                         ids=["connected", "isolated"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("backend", ["hoi", "hgnn"])
+def test_influence_columns_bits_match_summed_recurrence(
+        backend, k, isolated, scale, block, monkeypatch):
+    """Same ``indptr``, and each row the summed recurrence's (column,
+    float64 bits) pairs in some order. Scaling ``T`` by 1e-170 underflows
+    ``T²``'s hoi diagonal, so a step adds it back as a new matrix; blocks
+    of 7 entries cut rows apart from their neighbours."""
+    if block is not None:
+        monkeypatch.setattr(propagation, "BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(k)
+    g = random_graph(rng, 40, 25, 5, isolated)
+    t = TransitionMatrix(build_transition(g, backend).matrix * scale)
+    if backend == "hoi" and scale != 1.0:
+        live = np.diff(t.matrix.indptr) > 0
+        assert not (t.matrix @ t.matrix).diagonal()[live].all()
+    for alpha in (0.0, 0.5, 0.9, 1.0):
+        ic = influence_columns(t, k, alpha)
+        want, sums = oracles.summed_influence_columns(t.matrix, k, alpha)
+        got = ic.columns.copy()
+        got.sort_indices()
+        want.sort_indices()
+        np.testing.assert_array_equal(ic.columns.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data.view(np.uint64),
+                                      want.data.view(np.uint64))
+        np.testing.assert_array_equal(ic.row_sums.view(np.uint64),
+                                      sums.view(np.uint64))
+
+
+@pytest.mark.parametrize("k, n, m, max_size", [(2, 3000, 3000, 8),
+                                               (3, 2000, 1000, 8)])
+@pytest.mark.parametrize("backend", ["hoi", "hgnn"])
+def test_influence_columns_peak_near_output(backend, k, n, m, max_size):
+    """Beside the matrix it returns, the pass holds ``T``'s copy, the
+    previous step and blocks of about 2^16 entries; here the last step
+    grows the matrix about sixfold, so the peak is within 1.25x of it."""
+    rng = np.random.default_rng(3)
+    t = build_transition(random_graph(rng, n, m, max_size, True), backend)
+    tracemalloc.start()
+    try:
+        ic = influence_columns(t, k, 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    c = ic.columns
+    held = (c.data.nbytes + c.indices.nbytes + c.indptr.nbytes
+            + ic.row_sums.nbytes)
+    assert peak <= 1.25 * held
 
 
 def test_influence_columns_rejects_empty_graph():

@@ -8,7 +8,8 @@ import pytest
 from hial import (ConfigError, SelectionConfig, build, build_hoi_transition,
                   build_transition, edv, influence_columns, prepare,
                   propagate, select_lazy, select_naive)
-from hial.selector import _resolve_theta
+from hial import objective
+from hial.selector import RADIUS_QUANTILE, _resolve_radius, _resolve_theta
 import oracles
 
 
@@ -141,6 +142,35 @@ def test_auto_theta_full_pool_memory_bounded():
         tracemalloc.stop()
     assert theta == np.quantile(ic.columns.data, cfg.theta_quantile)
     assert peak < 1.5 * ic.columns.data.nbytes
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1], ids=["block", "one-pair"])
+@pytest.mark.parametrize("n, d", [(50, 3), (300, 256)])
+def test_auto_radius_matches_whole_sample(n, d, block_bytes, monkeypatch):
+    """Blocks of gathered rows, down to one pair each, give the radius of
+    the whole sample gathered at once, bit for bit."""
+    if block_bytes is not None:
+        monkeypatch.setattr(objective.FeatureBalls, "BLOCK_BYTES", block_bytes)
+    feats = np.random.default_rng(n).normal(size=(n, d))
+    cfg = SelectionConfig(budget=1, rng_seed=7)
+    assert _resolve_radius(cfg, feats) == oracles.sampled_radius(
+        feats, cfg.rng_seed, RADIUS_QUANTILE)
+
+
+def test_auto_radius_memory_bounded():
+    """radius=auto on d=256 gathers about 1 MiB of rows at a time, not the
+    20000 sampled pairs' 39 MiB per side."""
+    feats = np.random.default_rng(2).normal(size=(2000, 256))
+    cfg = SelectionConfig(budget=1)
+    tracemalloc.start()
+    try:
+        radius = _resolve_radius(cfg, feats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert radius == oracles.sampled_radius(feats, cfg.rng_seed,
+                                            RADIUS_QUANTILE)
 
 
 def test_degenerate_theta_rejected():
