@@ -8,9 +8,9 @@ activated nodes. The diffusion side scores the expected number of one-hop
 neighbors activated through shared hyperedges. Both are monotone and
 submodular, so the greedy selector keeps an incrementally updated
 :class:`CoverageState` and scores whole batches of candidates without
-mutation: a MoI gain reads one precomputed union row, and the diffusion
-gains are one sparse mat-vec. Seeding a node adds those scored gains and
-marks its one union row covered.
+mutation: a MoI gain reads one union row, composed once per selection
+and shared by its states, and the diffusion gains are one sparse mat-vec.
+Seeding a node adds those scored gains and marks its one row covered.
 """
 
 from __future__ import annotations
@@ -315,13 +315,13 @@ class CoverageState:
 
     MoI is plain set coverage: seeding ``c`` covers ``U_c``, the union of
     the balls of the nodes in ``A_c``. Neither ``A`` nor the balls change
-    during a selection, so the state composes every ``U_c`` once into
-    ``sets`` (:meth:`FeatureBalls.unions`; row ``c`` is ``U_c``) and keeps
-    ``covered``, its own covered set. A MoI gain counts one row's
-    uncovered ids; ``sets`` is never written. The EDV gains are one mat-vec
-    of the adjacency-count CSR against the evasion probabilities, which are
-    0 at the seeds. :meth:`add` sums its node's :meth:`gains` into
-    ``moi_value`` and ``edv_value`` and marks its row covered.
+    during a selection, so each ``U_c`` is composed once, as row ``c`` of
+    ``sets`` (:meth:`FeatureBalls.unions`), which states may share; each
+    state keeps ``covered``, its own covered set. A MoI gain counts one
+    row's uncovered ids; ``sets`` is never written. The EDV gains are one
+    mat-vec of the adjacency-count CSR against the evasion probabilities,
+    which are 0 at the seeds. :meth:`add` sums its node's :meth:`gains`
+    into ``moi_value`` and ``edv_value`` and marks its row covered.
 
     Single-writer; :meth:`gains` is a pure read and may be evaluated for
     any number of candidates against a frozen state.
@@ -329,11 +329,21 @@ class CoverageState:
 
     def __init__(self, g: Hypergraph, acts: sp.csr_matrix,
                  balls: FeatureBalls, beta: float):
+        self._start(g, balls.unions(acts), beta)  # composes its own sets
+
+    @classmethod
+    def from_sets(cls, g: Hypergraph, sets: FeatureBalls, beta: float):
+        """A state over rows already composed, which it shares."""
+        state = cls.__new__(cls)
+        state._start(g, sets, beta)
+        return state
+
+    def _start(self, g: Hypergraph, sets: FeatureBalls, beta: float) -> None:
         _check_beta(beta)
         self.graph = g
         self.beta = beta
-        self.sets = balls.unions(acts)
-        self.covered = self.sets.empty()
+        self.sets = sets
+        self.covered = sets.empty()
         self._adj = g.adjacency()
         # marks the seeds, as evasion cannot: a non-seed's can underflow to 0
         self.in_seed = np.zeros(g.num_nodes, dtype=bool)

@@ -28,7 +28,6 @@ __all__ = [
     "SelectionResult",
     "SelectionContext",
     "prepare",
-    "normalizers",
     "select_naive",
     "select_lazy",
 ]
@@ -58,7 +57,7 @@ class SelectionConfig:
     theta_quantile: float = 0.95
     rng_seed: int = 0
 
-    def validate(self, num_nodes: int) -> None:
+    def validate(self, num_nodes: int) -> np.ndarray:
         for name in ("budget", "k", "rng_seed"):
             check_integer(name, getattr(self, name))
         pool = self.resolve_pool(num_nodes)
@@ -85,6 +84,7 @@ class SelectionConfig:
                 f"theta_quantile must lie in (0, 1), got {self.theta_quantile}")
         if self.rng_seed < 0:
             raise ConfigError(f"rng seed must be >= 0, got {self.rng_seed}")
+        return pool
 
     def resolve_pool(self, num_nodes: int) -> np.ndarray:
         if self.candidate_pool is None:
@@ -118,14 +118,14 @@ class SelectionContext:
     config: SelectionConfig  # with theta/radius resolved to numbers
     pool: np.ndarray
     acts: sp.csr_matrix  # activation sets, every row outside the pool empty
-    balls: objective.FeatureBalls
+    sets: objective.FeatureBalls  # U_c at row c < n, MoI(V)'s row at n
     moi_hat: float
     edv_hat: float
     resolved_params: dict = field(default_factory=dict)
 
     def fresh_state(self) -> objective.CoverageState:
-        return objective.CoverageState(self.graph, self.acts, self.balls,
-                                       self.config.beta)
+        return objective.CoverageState.from_sets(self.graph, self.sets,
+                                                 self.config.beta)
 
 
 def _resolve_theta(cfg: SelectionConfig, ic: propagation.InfluenceColumns,
@@ -171,28 +171,13 @@ def _resolve_radius(cfg: SelectionConfig, feats: np.ndarray) -> float:
     return float(np.quantile(dist, RADIUS_QUANTILE, overwrite_input=True))
 
 
-def normalizers(g: Hypergraph, sigma_all: np.ndarray,
-                balls: objective.FeatureBalls) -> tuple[int, float]:
-    """Whole-graph objective values used as normalization constants.
-
-    MoI(V) counts one composed row: the balls' union over every node that
-    some node activates, whatever the pool. EDV(V) is ``n``: with every
-    node seeded no neighbor is left to reach, so each node counts once.
-    """
-    union = balls.unions(sp.csr_matrix(sigma_all))
-    moi_hat = int(union.uncovered(union.empty(), np.zeros(1, np.int64))[0])
-    if moi_hat == 0:
-        raise ConfigError("whole-graph coverage is empty: theta excludes "
-                          "every node; lower theta or its quantile")
-    return moi_hat, float(g.num_nodes)
-
-
 def prepare(g: Hypergraph, features: np.ndarray,
             cfg: SelectionConfig) -> SelectionContext:
     """Build the propagation, influence, and coverage structures for a
-    selection run, resolving any 'auto' parameters."""
-    cfg.validate(g.num_nodes)
-    pool = cfg.resolve_pool(g.num_nodes)
+    selection run, resolving any 'auto' parameters. Its one composition
+    gives every ``U_c`` of the pool and the union over σ_all, the nodes
+    that some node activates whatever the pool: MoI(V) is its size."""
+    pool = cfg.validate(g.num_nodes)
     t = propagation.build_transition(g, cfg.backend)
     ps = propagation.propagate(t, features, cfg.k, cfg.alpha)
     if cfg.radius != np.inf or not np.isfinite(ps.propagated_features).all():
@@ -204,21 +189,26 @@ def prepare(g: Hypergraph, features: np.ndarray,
     acts = objective.build_activation_sets(ic, theta)
     del ic  # the ball build's transient need not sit on top of the matrix
     balls = objective.build_feature_balls(ps, radius)
-    sigma_all = np.zeros(g.num_nodes, dtype=bool)
-    sigma_all[acts.indices] = True
-    moi_hat, edv_hat = normalizers(g, sigma_all, balls)
-    if pool.size < g.num_nodes:  # a state then composes the pool's unions
+    sigma_all = np.bincount(acts.indices, minlength=g.num_nodes) > 0
+    if pool.size < g.num_nodes:  # then only the pool's unions are composed
         outside = np.ones(g.num_nodes, dtype=bool)
         outside[pool] = False
         acts.data[np.repeat(outside, np.diff(acts.indptr))] = False
         acts.eliminate_zeros()
+    sets = balls.unions(sp.vstack([acts, sp.csr_matrix(sigma_all)],
+                                  format="csr"))
+    moi_hat = int(sets.uncovered(sets.empty(), np.array([g.num_nodes]))[0])
+    if moi_hat == 0:
+        raise ConfigError("whole-graph coverage is empty: theta excludes "
+                          "every node; lower theta or its quantile")
+    edv_hat = float(g.num_nodes)  # all seeded: no neighbor left to reach
     params = {
         "budget": cfg.budget, "k": cfg.k, "alpha": cfg.alpha,
         "theta": theta, "radius": radius, "beta": cfg.beta,
         "gamma": cfg.gamma, "backend": cfg.backend,
         "moi_hat": moi_hat, "edv_hat": edv_hat,
     }
-    return SelectionContext(g, resolved, pool, acts, balls, moi_hat, edv_hat,
+    return SelectionContext(g, resolved, pool, acts, sets, moi_hat, edv_hat,
                             params)
 
 

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hial import (ConfigError, SelectionConfig, build, build_hoi_transition,
-                  build_transition, edv, influence_columns, prepare,
-                  propagate, select_lazy, select_naive)
+from hial import (ConfigError, DataError, SelectionConfig, build,
+                  build_hoi_transition, build_transition, edv,
+                  influence_columns, prepare, propagate, select_lazy,
+                  select_naive)
 from hial import objective
 from hial.selector import RADIUS_QUANTILE, _resolve_radius, _resolve_theta
 import oracles
@@ -322,7 +323,7 @@ def test_default_config_scale_lazy_equals_naive():
     x = centers[rng.integers(0, 4, n)] + rng.normal(size=(n, 8))
     ctx = prepare(g, x, SelectionConfig(budget=10))
     state = ctx.fresh_state()
-    assert ctx.balls._bits is not None and state.sets._bits is not None
+    assert state.sets is ctx.sets and ctx.sets._bits is not None
     assert ctx.pool.size > 2 * state.sets._block_rows()
     naive = select_naive(ctx)
     lazy = select_lazy(ctx)
@@ -330,3 +331,37 @@ def test_default_config_scale_lazy_equals_naive():
     assert lazy.gains == naive.gains
     assert lazy.trace == naive.trace
     assert lazy.n_evaluations < naive.n_evaluations
+
+
+@pytest.mark.parametrize("pool", [None, (0, 2, 5)], ids=["all", "pool"])
+@pytest.mark.parametrize("radius", [0.0, 0.8, math.inf])
+def test_prepare_composes_once_and_states_share_rows(radius, pool,
+                                                     monkeypatch):
+    """``prepare`` composes the coverage rows in one
+    :meth:`FeatureBalls.unions` call, whose last row counts MoI(V); fresh
+    states compose nothing, share those rows and own their covered sets,
+    in the CSR (radius 0), bitset (0.8) and shared-row (inf) forms."""
+    calls = []
+    unions = objective.FeatureBalls.unions
+
+    def counted(self, groups):
+        calls.append(groups.shape)
+        return unions(self, groups)
+
+    monkeypatch.setattr(objective.FeatureBalls, "unions", counted)
+    g, x, edges, n, ctx = make_context(3, radius=radius, candidate_pool=pool)
+    assert calls == [(n + 1, n)]
+    first, second = ctx.fresh_state(), ctx.fresh_state()
+    assert len(calls) == 1
+    assert first.sets is second.sets is ctx.sets
+    assert (ctx.sets._bits is None) == (radius == 0.0)
+    assert (ctx.sets._live is not None) == (radius == math.inf)
+    assert ctx.sets.uncovered(ctx.sets.empty(), np.array([n]))[0] \
+        == ctx.moi_hat > 0
+    moi, _ = first.gains(ctx.pool)
+    first.add(int(ctx.pool[np.argmax(moi)]))
+    assert first.covered is not second.covered
+    assert first.covered.any() and not second.covered.any()
+    assert first.moi_value == moi.max() > 0 and second.moi_value == 0
+    with pytest.raises(DataError, match="out of range"):
+        first.gains([n])  # MoI(V)'s row is never a candidate
