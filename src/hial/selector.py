@@ -14,6 +14,7 @@ identical seed sequences.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -130,22 +131,75 @@ class SelectionContext:
 
 def _resolve_theta(cfg: SelectionConfig, ic: propagation.InfluenceColumns,
                    pool: np.ndarray) -> float:
-    """``theta`` as given, or the quantile of the normalized influence
-    entries in the pool's columns."""
+    """``theta`` as given, or the ``linear`` quantile of the normalized
+    influence entries in the pool's columns, bit for bit ``np.quantile``'s.
+
+    The entries must be positive and finite, so that their float64 bits,
+    read as int64, sort like their values. Pass 1 counts the entries by
+    their top 16 bits, ``BLOCK_ENTRIES`` at a time; pass 2 gathers the
+    bucket of the order statistics ``⌊v⌋`` and ``⌊v⌋ + 1``, ``v = (N - 1)
+    q``, and partitions it. A bucket of more entries than a block is
+    counted again by its next 16 bits, down to all 64: one block, its
+    bucket and 2^16 counts are held at most, whatever nnz or the ties."""
     if cfg.theta != AUTO:
         return float(cfg.theta)
-    cols = ic.columns
-    if pool.size == cols.shape[1]:  # every column: a plain copy
-        norm = cols.data.copy()
-    else:
-        in_pool = np.zeros(cols.shape[1], dtype=bool)
-        in_pool[pool] = True
-        # a boolean mask over the entries: no int64 position per entry
-        norm = cols.data[in_pool[cols.indices]]
-    if norm.size == 0:
-        raise ConfigError("no nonzero influence entries; cannot auto-resolve theta")
-    # norm is a copy, so the quantile may partition it in place
-    return float(np.quantile(norm, cfg.theta_quantile, overwrite_input=True))
+    cols, step = ic.columns, propagation.BLOCK_ENTRIES
+    in_pool = np.zeros(cols.shape[1], dtype=bool)
+    in_pool[pool] = True
+    buf = np.empty(min(step, cols.nnz), dtype=np.int64)
+
+    def keys(base, shift):
+        # per block: bits, column ids and 1 + (bits >> shift) - base in buf
+        for s in range(0, cols.nnz, step):
+            b = cols.data[s:s + step].view(np.int64)
+            key = np.right_shift(b, shift, out=buf[:b.size])
+            key -= base - 1
+            yield b, cols.indices[s:s + step], key
+
+    def bucket(base, shift):
+        # per block, the bits of the pool's entries in bucket ``base``
+        for b, ids, key in keys(base, shift):
+            at = np.flatnonzero(key == 1)
+            yield b[at[in_pool[ids[at]]]]
+
+    prefix = 0
+    for shift in (48, 32, 16, 0):
+        # bins 0 and 2^16 + 1 take the entries off the pool or the prefix
+        counts = np.zeros(1, dtype=np.int64)
+        for _, ids, key in keys(prefix << 16, shift):
+            if pool.size < in_pool.size:  # int32 ids index with no copy
+                key *= in_pool[ids]
+            if shift < 48:  # at 48 every key is in range already
+                np.clip(key, 0, (1 << 16) + 1, out=key)
+            bins = np.bincount(key, minlength=counts.size)
+            bins[:counts.size] += counts
+            counts = bins
+        counts = counts[1:(1 << 16) + 1]
+        if shift == 48:
+            n = int(counts.sum())
+            if n == 0:
+                raise ConfigError("no nonzero influence entries; cannot "
+                                  "auto-resolve theta")
+            v = (n - 1) * cfg.theta_quantile
+            ranks = np.minimum(math.floor(v) + np.arange(2), n - 1)
+        ends = np.cumsum(counts)
+        lo, hi = np.searchsorted(ends, ranks, side="right").tolist()
+        ranks -= ends[lo] - counts[lo]
+        size, lo, hi = counts[lo], prefix << 16 | lo, prefix << 16 | hi
+        if shift == 0:  # all 64 bits fixed: the buckets are the entries
+            a, c = lo, hi
+        elif lo != hi:  # the largest entry of lo, the least of hi
+            a = max(b.max(initial=0) for b in bucket(lo, shift))
+            c = min(b.min(initial=(1 << 63) - 1) for b in bucket(hi, shift))
+        elif size <= step:
+            got = np.concatenate(list(bucket(lo, shift)))
+            a, c = np.partition(got, ranks)[ranks]
+        else:
+            prefix = lo
+            continue
+        break
+    pair = np.array([a, c], dtype=np.int64).view(np.float64)
+    return float(np.quantile(pair, v - math.floor(v)))  # numpy's own lerp
 
 
 def _resolve_radius(cfg: SelectionConfig, feats: np.ndarray) -> float:

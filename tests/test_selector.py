@@ -4,12 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hial import (ConfigError, DataError, SelectionConfig, build,
                   build_hoi_transition, build_transition, edv,
                   influence_columns, prepare, propagate, select_lazy,
                   select_naive)
-from hial import objective
+from hial import objective, propagation
+from hial.propagation import InfluenceColumns
 from hial.selector import RADIUS_QUANTILE, _resolve_radius, _resolve_theta
 import oracles
 
@@ -126,23 +128,116 @@ def test_theta_and_activation_sets_match_csc_oracle(seed, pool, backend):
     np.testing.assert_array_equal(ctx.acts.indices, indices)
 
 
-def test_auto_theta_full_pool_memory_bounded():
-    """θ=auto over every node copies the matrix's entries once and holds
-    no position array beside them."""
+def _entries(rng, kind, size):
+    """``size`` positive finite influence-like entries of one kind."""
+    if kind == "uniform":
+        return 1.0 - rng.random(size)  # in (0, 1]
+    if kind == "spread":  # over ±20 decades
+        return np.exp(rng.uniform(-46.0, 46.0, size))
+    if kind == "ties":
+        return rng.choice(1.0 - rng.random(3), size)
+    if kind == "equal":
+        return np.full(size, 0.3)
+    if kind == "near":  # one top 16 bits, three patterns in each field below
+        low = rng.integers(0, 3, (3, size)) * 0x5555
+        return ((0x3FD3 << 48) | low[0] << 32 | low[1] << 16
+                | low[2]).view(np.float64)
+    # subnormals, their smallest step apart, among a few normal entries
+    tiny = rng.integers(1, 40, size) * 5e-324
+    return np.where(rng.random(size) < 0.8, tiny, 1.0 - rng.random(size))
+
+
+def _influence(data, ids, n_cols):
+    """Influence columns with one entry per row: ``data[r]`` in column
+    ``ids[r]``, rows cut into blocks wherever ``BLOCK_ENTRIES`` says."""
+    cols = sp.csr_matrix((data, ids, np.arange(data.size + 1)),
+                         shape=(data.size, n_cols))
+    return InfluenceColumns(cols, np.ones(data.size))
+
+
+@pytest.mark.parametrize("pool", ["all", "restricted"])
+@pytest.mark.parametrize("block", [1, 7, None], ids=["one", "seven", "default"])
+def test_auto_theta_bits_match_numpy_quantile(block, pool, monkeypatch):
+    """Auto θ from bucket counts is ``np.quantile`` over the pool's
+    entries, bit for bit: N from 1 up, q near 0 and 1, ties, one repeated
+    value, subnormals, entries spread over 40 decades and entries that
+    share their top bits, with blocks of one entry, seven entries (cut
+    mid-bucket) and the default. Blocks of one or seven also refine the
+    buckets of more entries, down to all 64 bits for ties."""
+    if block is not None:
+        monkeypatch.setattr(propagation, "BLOCK_ENTRIES", block)
+    sizes = {1: (1, 2, 3, 10, 61), 7: (1, 2, 5, 16, 64, 500)}.get(
+        block, (1, 2, 3, 17, 100, 1000, 4000))
+    rng = np.random.default_rng([block or 0, pool == "all"])
+    n_cols = 10
+    for kind, size, q in itertools.product(
+            ("uniform", "spread", "ties", "equal", "near", "subnormal"), sizes,
+            (1e-9, 0.05, 0.5, 0.95, 1 - 1e-9, float(rng.random()))):
+        data = _entries(rng, kind, size)
+        ids = rng.integers(0, n_cols, size)
+        ic = _influence(data, ids, n_cols)
+        cfg = SelectionConfig(budget=1, theta_quantile=q)
+        if pool == "all":
+            keep = np.arange(n_cols)
+        else:
+            keep = np.sort(rng.choice(n_cols, 4, replace=False))
+        want = data[np.isin(ids, keep)]
+        if want.size == 0:
+            with pytest.raises(ConfigError, match="no nonzero influence"):
+                _resolve_theta(cfg, ic, keep)
+            continue
+        got = _resolve_theta(cfg, ic, keep)
+        assert got.hex() == float(np.quantile(want, q)).hex(), (kind, size, q)
+
+
+# θ's working set is a few blocks of 2^16 entries and 2^16 counts
+THETA_PEAK_BYTES = 4 * 2**20
+
+
+def _big_influence():
+    """1.26M influence entries: a copy takes 10 MB, and 1.5 times their
+    bytes, a bound that grows with nnz, would allow 15 MB."""
     rng = np.random.default_rng(11)
-    n = 1000
-    g = build(oracles.random_hypergraph(rng, n, 500), num_nodes=n)
+    n = 3000
+    g = build(oracles.random_hypergraph(rng, n, 3000, 8), num_nodes=n)
     ic = influence_columns(build_hoi_transition(g), 2, 0.8)
+    assert ic.columns.nnz > 10**6
+    cols = ic.columns.copy()
+    cols.data[:] = 0.25  # one value: every level refines, down to all 64 bits
+    return n, ic, InfluenceColumns(cols, ic.row_sums)
+
+
+def _theta_and_peak(ic, pool):
     cfg = SelectionConfig(budget=1)
-    pool = cfg.resolve_pool(n)
     tracemalloc.start()
     try:
         theta = _resolve_theta(cfg, ic, pool)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert theta == np.quantile(ic.columns.data, cfg.theta_quantile)
-    assert peak < 1.5 * ic.columns.data.nbytes
+    c = ic.columns
+    want = np.quantile(c.data[np.isin(c.indices, pool)], cfg.theta_quantile)
+    return theta, want, peak
+
+
+def test_auto_theta_full_pool_memory_bounded():
+    """θ=auto over every node holds a fixed working set, not a copy of
+    the entries, whether they spread or all tie."""
+    n, ic, tied = _big_influence()
+    for m in (ic, tied):
+        theta, want, peak = _theta_and_peak(m, np.arange(n))
+        assert theta == want
+        assert peak < THETA_PEAK_BYTES
+
+
+def test_auto_theta_restricted_pool_memory_bounded():
+    """Over half of the columns, θ=auto masks the pool's entries one block
+    at a time: no mask or copy as long as the entries."""
+    n, ic, tied = _big_influence()
+    for m in (ic, tied):
+        theta, want, peak = _theta_and_peak(m, np.arange(0, n, 2))
+        assert theta == want
+        assert peak < THETA_PEAK_BYTES
 
 
 @pytest.mark.parametrize("block_bytes", [None, 1], ids=["block", "one-pair"])
