@@ -48,16 +48,16 @@ class Hypergraph:
         """Pairwise co-membership structure as CSR ``(indptr, indices, counts)``.
 
         ``counts[p]`` is the number of hyperedges shared by node ``i`` and
-        its neighbor ``indices[p]``; the diagonal is removed. Built once
-        and cached.
+        its neighbor ``indices[p]``, as float64 (exact: they are small
+        integers); the diagonal is removed and each row is sorted. The
+        arrays of one CSR, built once and cached.
         """
         if self._adj is None:
             a = (self._h @ self._h.T).tocsr()
             a.setdiag(0)
             a.eliminate_zeros()
             a.sort_indices()
-            self._adj = (a.indptr.copy(), a.indices.astype(np.int64),
-                         a.data.astype(np.int64))
+            self._adj = (a.indptr, a.indices, a.data)
         return self._adj
 
 

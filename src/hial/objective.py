@@ -9,8 +9,10 @@ neighbors activated through shared hyperedges. Both are monotone and
 submodular, so the greedy selector keeps an incrementally updated
 :class:`CoverageState` and scores whole batches of candidates without
 mutation: a MoI gain reads one union row, composed once per selection
-and shared by its states, and the diffusion gains are one sparse mat-vec.
-Seeding a node adds those scored gains and marks its one row covered.
+and shared by its states, and a diffusion gain reads one entry of a sparse
+mat-vec, recomputed once per seed in one pass over the adjacency entries
+(O(nnz)). Seeding a node adds those scored gains and marks its one row
+covered.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, DataError
 from .hypergraph import Hypergraph
-from .propagation import InfluenceColumns, PropagationState
+from .propagation import InfluenceColumns, PropagationState, _row_blocks
 
 __all__ = [
     "FeatureBalls",
@@ -253,15 +255,13 @@ def _group_or(table: np.ndarray, groups: sp.csr_matrix,
               block_bytes: int) -> np.ndarray:
     """Row ``i`` is the OR of the rows of ``table`` at the ids of row ``i``
     of ``groups`` (0 for none), gathered in blocks of about ``block_bytes``
-    (with each int32 id's intp copy) that end at group boundaries, one
-    ``reduceat`` each; a group over the bound goes alone, in blocks."""
+    (with each int32 id's intp copy) that end at group boundaries
+    (:func:`~hial.propagation._row_blocks`), one ``reduceat`` each; a group
+    over the bound goes alone, in blocks."""
     indptr, ids = groups.indptr, groups.indices
     step = max(1, block_bytes // (table[0].nbytes + 8))
     out = np.zeros((indptr.size - 1, table.shape[1]), dtype=table.dtype)
-    lo = 0
-    while lo < indptr.size - 1:
-        hi = max(lo + 1, int(np.searchsorted(
-            indptr, int(indptr[lo]) + step, side="right")) - 1)
+    for lo, hi in _row_blocks(indptr, step):
         p, q = indptr[lo], indptr[hi]
         if hi == lo + 1:
             for s in range(p, q, step):
@@ -272,7 +272,6 @@ def _group_or(table: np.ndarray, groups: sp.csr_matrix,
             some = starts < indptr[lo + 1:hi + 1]  # an empty group stays 0
             out[lo:hi][some] = np.bitwise_or.reduceat(
                 table.take(ids[p:q], axis=0), starts[some] - p, axis=0)
-        lo = hi
     return out
 
 
@@ -318,10 +317,14 @@ class CoverageState:
     during a selection, so each ``U_c`` is composed once, as row ``c`` of
     ``sets`` (:meth:`FeatureBalls.unions`), which states may share; each
     state keeps ``covered``, its own covered set. A MoI gain counts one
-    row's uncovered ids; ``sets`` is never written. The EDV gains are one
-    mat-vec of the adjacency-count CSR against the evasion probabilities,
-    which are 0 at the seeds. :meth:`add` sums its node's :meth:`gains`
-    into ``moi_value`` and ``edv_value`` and marks its row covered.
+    row's uncovered ids; ``sets`` is never written. The EDV gain of ``c``
+    is ``evasion[c] + β / max(d_c, 1) · reach[c]``, where ``reach`` is the
+    adjacency-count CSR times the evasion probabilities (0 at the seeds),
+    each row summed in stored order: a batch's gains are a gather, and a
+    gain's bits do not depend on its batch. :meth:`add` sums its node's
+    :meth:`gains` into ``moi_value`` and ``edv_value``, marks its row
+    covered and recomputes ``reach``, one pass over the adjacency entries
+    (O(nnz)) per seed.
 
     Single-writer; :meth:`gains` is a pure read and may be evaluated for
     any number of candidates against a frozen state.
@@ -344,10 +347,13 @@ class CoverageState:
         self.beta = beta
         self.sets = sets
         self.covered = sets.empty()
-        self._adj = g.adjacency()
         # marks the seeds, as evasion cannot: a non-seed's can underflow to 0
         self.in_seed = np.zeros(g.num_nodes, dtype=bool)
         self.evasion = np.ones(g.num_nodes, dtype=np.float64)
+        indptr, indices, counts = g.adjacency()  # wrapped with no copy
+        self._counts = sp.csr_matrix((counts, indices, indptr),
+                                     shape=(g.num_nodes, g.num_nodes))
+        self._reach = self._counts @ self.evasion
         self.moi_value = 0
         self.edv_value = 0.0
 
@@ -361,45 +367,30 @@ class CoverageState:
         if seeded.any():
             raise DataError(f"node {cands[seeded][0]} is already a seed")
         moi = self.sets.uncovered(self.covered, cands)
-        return moi, self._diffusion_gains(cands)
-
-    def _diffusion_gains(self, cands: np.ndarray) -> np.ndarray:
         # a candidate's own term moves into the seed count; a node in no
         # hyperedge has no neighbors, so its sum is 0 whatever d is
         d = np.maximum(self.graph.node_degree[cands], 1)
-        adj_ptr, adj_ids, adj_counts = self._adj
-        # the entries of the adjacency rows of cands, in order, by a few
-        # numpy calls: scipy's row selection costs several times more per
-        # call on the small batches of a greedy round
-        start = adj_ptr[cands]
-        lens = adj_ptr[cands + 1] - start
-        row = np.repeat(np.arange(cands.size), lens)
-        shift = np.repeat(start + lens - np.cumsum(lens), lens)
-        pos = shift + np.arange(shift.size)
-        nb = adj_ids[pos]
-        # the sparse mat-vec of those rows with evasion: each row sums its
-        # entries in order, so a gain does not depend on its batch
-        sums = np.bincount(row, weights=adj_counts[pos] * self.evasion[nb],
-                           minlength=cands.size)
-        return self.evasion[cands] + self.beta / d * sums
+        return moi, self.evasion[cands] + self.beta / d * self._reach[cands]
 
     # -- mutation ---------------------------------------------------------
 
     def add(self, v: int) -> "CoverageState":
         """Seed ``v``: add its :meth:`gains` (which check ``v``) to the
         values, mark row ``v`` of ``sets`` covered, scale the evasion of
-        v's neighbors (a seed's 0 stays 0) and set v's own to 0."""
+        v's neighbors (a seed's 0 stays 0), set v's own to 0 and recompute
+        the adjacency mat-vec with the new evasion."""
         moi, diffusion = self.gains([v])
         self.sets.cover(self.covered, v)
         self.moi_value += int(moi[0])
         self.edv_value += float(diffusion[0])
 
-        adj_ptr, adj_ids, adj_counts = self._adj
-        nb = adj_ids[adj_ptr[v]:adj_ptr[v + 1]]
-        ct = adj_counts[adj_ptr[v]:adj_ptr[v + 1]]
-        self.evasion[nb] *= 1.0 - self.beta * ct / self.graph.node_degree[v]
+        c = self._counts
+        row = slice(c.indptr[v], c.indptr[v + 1])
+        self.evasion[c.indices[row]] *= (
+            1.0 - self.beta * c.data[row] / self.graph.node_degree[v])
         self.evasion[v] = 0.0
         self.in_seed[v] = True
+        self._reach = c @ self.evasion
         return self
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "build_transition",
     "propagate",
     "influence_columns",
-    "row_sum_vector",
 ]
 
 HOI = "hoi"
@@ -166,12 +165,6 @@ def propagate(t: TransitionMatrix, x0: np.ndarray, k: int,
     return PropagationState(x0, np.ascontiguousarray(x))
 
 
-def row_sum_vector(t: TransitionMatrix, k: int, alpha: float) -> np.ndarray:
-    """Row sums of M_k via the same recurrence applied to the ones vector."""
-    _check_alpha_k(alpha, k)
-    return _recurrence(t, np.ones(t.num_nodes, dtype=np.float64), k, alpha)
-
-
 def influence_columns(t: TransitionMatrix, k: int,
                       alpha: float) -> InfluenceColumns:
     """The row-normalized influence matrix, plus its row sums.
@@ -190,7 +183,7 @@ def influence_columns(t: TransitionMatrix, k: int,
     n = t.num_nodes
     if n == 0:
         raise DataError("hypergraph has no nodes")
-    row_sums = row_sum_vector(t, k, alpha)
+    row_sums = _recurrence(t, np.ones(n), k, alpha)
     if k == 0:
         mat = sp.identity(n, format="csr")
     else:
@@ -200,19 +193,19 @@ def influence_columns(t: TransitionMatrix, k: int,
             mat = _shift_diagonal(tp @ mat, alpha, empty)
     mat.eliminate_zeros()
     # a row sum is strictly positive wherever the row has a nonzero entry
-    for r0, r1 in _row_blocks(mat.indptr):
+    for r0, r1 in _row_blocks(mat.indptr, BLOCK_ENTRIES):
         lo, hi = mat.indptr[r0], mat.indptr[r1]
         mat.data[lo:hi] /= np.repeat(row_sums[r0:r1],
                                      np.diff(mat.indptr[r0:r1 + 1]))
     return InfluenceColumns(mat, row_sums)
 
 
-def _row_blocks(indptr: np.ndarray):
-    """Row ranges ``[r0, r1)`` of about ``BLOCK_ENTRIES`` entries each; a
-    longer row is a block alone."""
+def _row_blocks(indptr: np.ndarray, budget: int):
+    """Row ranges ``[r0, r1)`` of about ``budget`` entries each; a longer
+    row is a block alone."""
     n, r0 = indptr.size - 1, 0
     while r0 < n:
-        r1 = int(np.searchsorted(indptr, indptr[r0] + BLOCK_ENTRIES,
+        r1 = int(np.searchsorted(indptr, int(indptr[r0]) + budget,
                                  side="right")) - 1
         r1 = max(r1, r0 + 1)
         yield r0, r1
@@ -248,7 +241,7 @@ def _shift_diagonal(p: sp.csr_matrix, alpha: float,
     p.data *= alpha
     restart = 1.0 - alpha
     missing = []
-    for r0, r1 in _row_blocks(p.indptr):
+    for r0, r1 in _row_blocks(p.indptr, BLOCK_ENTRIES):
         lo, hi = p.indptr[r0], p.indptr[r1]
         rows = np.repeat(np.arange(r0, r1, dtype=p.indices.dtype),
                          np.diff(p.indptr[r0:r1 + 1]))

@@ -497,6 +497,39 @@ def test_gain_queries_match_add(seed):
         assert eg >= -1e-12
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_edv_gains_bits_match_ordered_row_sums(seed):
+    """After each add, every non-seed's EDV gain has the bits of
+    ``evasion[c] + beta / max(d, 1) * s``, with ``s`` its adjacency row
+    times evasion summed left to right in stored order in Python floats;
+    gains of singleton batches and of a permuted whole batch have the same
+    bits. One id is alone in a hyperedge and two are in none."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 40))
+    edges = oracles.random_hypergraph(rng, n, int(rng.integers(2, 30)), 8)
+    g = build(edges + [[n]], num_nodes=n + 3)
+    beta = float(rng.uniform(0.05, 0.95))
+    sets = FeatureBalls(rng.normal(size=(n + 3, 2)), 0.0)
+    state = CoverageState.from_sets(g, sets, beta)
+    indptr, indices, counts = g.adjacency()
+    for v in rng.permutation(n + 3)[:8].tolist():
+        cands = np.flatnonzero(~state.in_seed)
+        got = [x.hex() for x in state.gains(cands)[1].tolist()]
+        want = []
+        for c in cands.tolist():
+            s = 0.0
+            for p in range(indptr[c], indptr[c + 1]):
+                s += float(counts[p]) * float(state.evasion[indices[p]])
+            d = max(int(g.node_degree[c]), 1)
+            want.append((float(state.evasion[c]) + beta / d * s).hex())
+        assert got == want
+        assert [state.gains([c])[1][0].hex() for c in cands] == got
+        perm = rng.permutation(cands.size)
+        assert [x.hex() for x in state.gains(cands[perm])[1].tolist()] == \
+            [got[i] for i in perm]
+        state.add(v)
+
+
 @pytest.mark.parametrize("block_rows", [1, 8, 1 << 20])
 @pytest.mark.parametrize("radius", [0.0, 0.8, np.inf])
 @pytest.mark.parametrize("seed", range(8))

@@ -14,7 +14,7 @@ from hial import (
     propagate,
 )
 from hial import propagation
-from hial.propagation import TransitionMatrix, row_sum_vector
+from hial.propagation import TransitionMatrix
 import oracles
 
 
@@ -161,8 +161,6 @@ def test_influence_columns_match_dense_recurrence(seed):
     np.testing.assert_allclose(ic.columns.toarray() * ic.row_sums[:, None],
                                m_k, atol=1e-10)
     np.testing.assert_allclose(ic.row_sums, m_k.sum(axis=1), atol=1e-10)
-    np.testing.assert_allclose(row_sum_vector(t, k, alpha),
-                               m_k.sum(axis=1), atol=1e-10)
 
 
 @pytest.mark.parametrize("seed", range(10))
