@@ -16,11 +16,12 @@ the identity as input, and the row sums ``s_j = sum_l M_k[j, l]`` obey it
 with the ones vector as input. The features and the ones vector run that
 recurrence as dense arrays. ``M_k`` is kept as one sparse n x n CSR matrix
 ``M_k[j, u] / s_j`` next to the row-sum vector, and no dense n x n matrix
-is ever formed. Its first step is ``T`` itself, and each later step is one
-sparse product whose own entries are scaled, shifted on the diagonal and,
-at the last step, divided by the row sums in place. So at most three
-matrices are alive at once: ``T`` (copied only to give its empty rows a
-diagonal entry), the previous step and the product being built.
+is ever formed. Its first step is the sparse sum ``alpha T + (1 - alpha) I``,
+and each later step is one sparse product whose own entries are scaled and
+shifted on the diagonal in place; the last step is then divided by the row
+sums in place. So beside ``T``, at most three matrices are alive at once:
+``T′`` (``T`` copied only to give its empty rows a diagonal entry), the
+previous step and the product being built.
 """
 
 from __future__ import annotations
@@ -170,25 +171,27 @@ def influence_columns(t: TransitionMatrix, k: int,
     """The row-normalized influence matrix, plus its row sums.
 
     ``M_k`` is the recurrence ``M <- alpha T M + (1 - alpha) I`` run from
-    the identity. Its first step is ``T`` scaled, and each later step one
-    product with ``T′``, which is ``T`` with a stored 1.0 on the diagonal
-    of each empty row. The step's ``alpha``, its ``(1 - alpha)`` diagonal
-    term and, at the end, the division by the row sums are applied to the
-    step's own entries in place, so the last product is the only
-    allocation of its size: the peak holds ``T′``, ``M_{k-1}`` and
-    ``M_k``. Each entry has the bits of the summed recurrence, though a
-    row may list its entries in another order.
+    the identity. Its first step is that formula as one sparse sum, and
+    each later step one product with ``T′``, which is ``T`` with a stored
+    1.0 on the diagonal of each empty row. A product's ``alpha``, its
+    ``(1 - alpha)`` diagonal term and, at the end, the division by the row
+    sums are applied to the step's own entries in place, so the last
+    product is the only allocation of its size: the peak holds ``T′``,
+    ``M_{k-1}`` and ``M_k``. Each entry has the bits of the summed
+    recurrence, though a row may list its entries in another order; the
+    next product sums in ``T′``'s row order, so that order reaches no
+    value.
     """
     _check_alpha_k(alpha, k)
     n = t.num_nodes
     if n == 0:
         raise DataError("hypergraph has no nodes")
     row_sums = _recurrence(t, np.ones(n), k, alpha)
-    if k == 0:
-        mat = sp.identity(n, format="csr")
-    else:
+    mat = sp.identity(n, format="csr")
+    if k > 0:  # a sum, not setdiag, which would insert all of hoi's diagonal
+        mat = alpha * t.matrix + (1.0 - alpha) * mat
+    if k > 1:
         tp, empty = _with_empty_diagonal(t.matrix)
-        mat = _shift_diagonal(tp.copy(), alpha, empty)
         for _ in range(k - 1):
             mat = _shift_diagonal(tp @ mat, alpha, empty)
     mat.eliminate_zeros()
@@ -235,25 +238,15 @@ def _shift_diagonal(p: sp.csr_matrix, alpha: float,
     """``alpha p + (1 - alpha) I`` for a step ``p = T′ M``, whose rows that
     are empty in ``T`` (``empty``) copy ``M``'s and get exactly ``1 - alpha``,
     the recurrence's value there. Scaled and shifted in ``p``'s own data;
-    only rows that store no diagonal entry (each row of hoi's first step,
-    or one whose diagonal underflowed to zero) make a new matrix,
-    ``p + (1 - alpha) I`` over those rows, with the same bits."""
+    scipy inserts (and so copies ``p``) only where a row stores no diagonal
+    entry: one that underflowed to zero, or each of hoi's at ``alpha = 0``.
+    At ``alpha = 1`` there is no diagonal term, so nothing is written: the
+    rows of ``M_1`` on ``T``'s empty rows are empty, and ``setdiag`` would
+    insert explicit zeros there at every step."""
     p.data *= alpha
-    restart = 1.0 - alpha
-    missing = []
-    for r0, r1 in _row_blocks(p.indptr, BLOCK_ENTRIES):
-        lo, hi = p.indptr[r0], p.indptr[r1]
-        rows = np.repeat(np.arange(r0, r1, dtype=p.indices.dtype),
-                         np.diff(p.indptr[r0:r1 + 1]))
-        at = np.flatnonzero(p.indices[lo:hi] == rows) + lo
-        on = p.indices[at]
-        p.data[at] += restart
-        p.data[at[empty[on]]] = restart
-        has = np.zeros(r1 - r0, dtype=bool)
-        has[on - r0] = True
-        missing.append(np.flatnonzero(~has) + r0)
-    missing = np.concatenate(missing)
-    if missing.size and restart:  # alpha = 1 has no diagonal term to add
-        p = p + sp.csr_matrix((np.full(missing.size, restart),
-                               (missing, missing)), shape=p.shape)
+    if alpha < 1.0:
+        diag = p.diagonal()
+        diag += 1.0 - alpha
+        diag[empty] = 1.0 - alpha
+        p.setdiag(diag)
     return p

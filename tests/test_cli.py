@@ -410,6 +410,62 @@ def test_exit_code_overflowing_features(tmp_path, capsys):
     assert run(args + ["inf"], capsys)[0] == 0
 
 
+LABELS = str(SAMPLE / "toy.labels.csv")
+
+
+@pytest.mark.parametrize("command, extra, files, code, fragment", [
+    pytest.param("select", ["--sparse-features", "--features", "{f}"],
+                 {"f": "0,a:1\n"}, cli.EXIT_DATA, "bad feature index",
+                 id="sparse-index-not-integer"),
+    pytest.param("select", ["--sparse-features", "--features", "{f}"],
+                 {"f": "0,-1:1\n"}, cli.EXIT_DATA, "negative feature index",
+                 id="sparse-index-negative"),
+    pytest.param("select", ["--features", "{f}"], {"f": "0\n"},
+                 cli.EXIT_DATA, "no feature columns", id="dense-id-only"),
+    pytest.param("select", ["--features", "{f}"], {"f": "\n\n\n"},
+                 cli.EXIT_DATA, "no feature rows", id="features-blank"),
+    pytest.param("select", ["--labels", "{l}"], {"l": "0,1,2\n"},
+                 cli.EXIT_DATA, "expected 'id,class'", id="label-row-wide"),
+    pytest.param("select", ["--labels", "{l}"], {"l": "0,x\n"},
+                 cli.EXIT_DATA, "non-integer class", id="label-not-integer"),
+    pytest.param("select", ["--splits", "{s}"], {"s": "{"},
+                 cli.EXIT_DATA, "invalid JSON", id="splits-not-json"),
+    pytest.param("select", ["--budget", "1", "--output", "{dir}"], {},
+                 cli.EXIT_DATA, "cannot write result", id="output-directory"),
+    pytest.param("evaluate", ["--labels", LABELS, "--seeds", "{dir}"], {},
+                 cli.EXIT_DATA, "cannot read result", id="seeds-directory"),
+    pytest.param("evaluate", ["--labels", LABELS, "--seeds", "{r}"],
+                 {"r": '{"seeds": ["0", "99"]}'}, cli.EXIT_DATA,
+                 "unknown seed ids", id="seed-id-unknown"),
+    pytest.param("select", ["--theta", "abc"], {}, cli.EXIT_CONFIG,
+                 "must be a number or 'auto'", id="theta-not-number"),
+    pytest.param("select", ["--train-split"], {}, cli.EXIT_CONFIG,
+                 "requires a splits file", id="train-split-without-splits"),
+    pytest.param("select", ["--alpha", "2"], {}, cli.EXIT_CONFIG,
+                 "alpha must lie in [0, 1]", id="alpha-out-of-range"),
+    pytest.param("select", ["--splits", "{s}", "--train-split"],
+                 {"s": '{"train": []}'}, cli.EXIT_CONFIG,
+                 "candidate pool is empty", id="train-split-empty"),
+])
+def test_bad_input_exit_code(tmp_path, capsys, command, extra, files, code,
+                             fragment):
+    """Each bad file or flag exits with its documented code and prints one
+    ``error:`` line. ``{name}`` in an argument is the path of the file
+    written from ``files[name]``, ``{dir}`` a directory."""
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    argv = [command, "--hyperedges", str(SAMPLE / "toy.hyperedges"),
+            "--features", str(SAMPLE / "toy.features.csv"),
+            *(a.format(dir=tmp_path, **paths) for a in extra)]
+    got, stdout, err = run(argv, capsys)
+    assert got == code
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
 # runs `python -m hial.cli` (runpy's alter_sys mirrors -m) and then
 # reports whether the run loaded scipy.spatial
 IMPORT_PROBE = """

@@ -117,6 +117,12 @@ def test_load_dataset_missing_feature_row_rejected(tmp_path):
         dataio.load_dataset(g, f)
 
 
+def test_load_dataset_without_nodes_rejected(tmp_path):
+    g = write(tmp_path, "g.hyperedges", "")
+    with pytest.raises(DataError, match="empty dataset"):
+        dataio.load_dataset(g)
+
+
 def test_load_dataset_numeric_id_order(tmp_path):
     g = write(tmp_path, "g.hyperedges", "10 2\n2 1\n")
     f = write(tmp_path, "f.csv", "10,1.0\n2,2.0\n1,3.0\n")

@@ -115,6 +115,18 @@ def test_propagate_shape_mismatch_rejected():
         propagate(t, np.zeros((2, 2)), 1, 1.5)
     with pytest.raises(ConfigError):
         propagate(t, np.zeros((2, 2)), -1, 0.5)
+    with pytest.raises(ConfigError):
+        build_transition(g, "nope")
+
+
+def test_propagate_vector_is_one_column():
+    g, _, n, x, _ = small_instance(4)
+    t = build_hoi_transition(g)
+    col = propagate(t, x[:, :1], 2, 0.6)
+    vec = propagate(t, x[:, 0], 2, 0.6)
+    np.testing.assert_array_equal(vec.propagated_features,
+                                  col.propagated_features)
+    np.testing.assert_array_equal(vec.initial_features, col.initial_features)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -231,8 +243,8 @@ def test_influence_columns_bits_match_summed_recurrence(
         backend, k, isolated, scale, block, monkeypatch):
     """Same ``indptr``, and each row the summed recurrence's (column,
     float64 bits) pairs in some order. Scaling ``T`` by 1e-170 underflows
-    ``T²``'s hoi diagonal, so a step adds it back as a new matrix; blocks
-    of 7 entries cut rows apart from their neighbours."""
+    ``T²``'s hoi diagonal, so scipy inserts it; blocks of 7 entries cut
+    the row-sum division's rows apart from their neighbours."""
     if block is not None:
         monkeypatch.setattr(propagation, "BLOCK_ENTRIES", block)
     rng = np.random.default_rng(k)
@@ -255,13 +267,9 @@ def test_influence_columns_bits_match_summed_recurrence(
                                       sums.view(np.uint64))
 
 
-@pytest.mark.parametrize("k, n, m, max_size", [(2, 3000, 3000, 8),
-                                               (3, 2000, 1000, 8)])
-@pytest.mark.parametrize("backend", ["hoi", "hgnn"])
-def test_influence_columns_peak_near_output(backend, k, n, m, max_size):
-    """Beside the matrix it returns, the pass holds ``T``'s copy, the
-    previous step and blocks of about 2^16 entries; here the last step
-    grows the matrix about sixfold, so the peak is within 1.25x of it."""
+def traced_peak_and_output(backend, k, n, m, max_size):
+    """The traced peak of ``influence_columns`` at alpha 0.8 on a random
+    graph with isolated ids, and the bytes of what it returns."""
     rng = np.random.default_rng(3)
     t = build_transition(random_graph(rng, n, m, max_size, True), backend)
     tracemalloc.start()
@@ -273,7 +281,28 @@ def test_influence_columns_peak_near_output(backend, k, n, m, max_size):
     c = ic.columns
     held = (c.data.nbytes + c.indices.nbytes + c.indptr.nbytes
             + ic.row_sums.nbytes)
+    return peak, held
+
+
+@pytest.mark.parametrize("k, n, m, max_size", [(2, 3000, 3000, 8),
+                                               (3, 2000, 1000, 8)])
+@pytest.mark.parametrize("backend", ["hoi", "hgnn"])
+def test_influence_columns_peak_near_output(backend, k, n, m, max_size):
+    """Beside the matrix it returns, the pass holds ``T′``, the previous
+    step and blocks of about 2^16 entries; here the last step grows the
+    matrix about sixfold, so the peak is within 1.25x of it."""
+    peak, held = traced_peak_and_output(backend, k, n, m, max_size)
     assert peak <= 1.25 * held
+
+
+@pytest.mark.parametrize("n, m", [(3000, 3000), (2000, 1000)])
+@pytest.mark.parametrize("backend", ["hoi", "hgnn"])
+def test_influence_columns_first_step_peak(backend, n, m):
+    """The first step is one sparse sum ``alpha T + (1 - alpha) I``: the
+    peak holds the scaled ``T`` beside the sum it returns, about twice
+    the output, and no copy of ``T′``."""
+    peak, held = traced_peak_and_output(backend, 1, n, m, 8)
+    assert peak <= 2.5 * held
 
 
 def test_influence_columns_rejects_empty_graph():

@@ -56,6 +56,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SelectionConfig(budget=1, theta="later").validate(3)
     with pytest.raises(ConfigError):
+        SelectionConfig(budget=1, theta_quantile=1.0).validate(3)
+    with pytest.raises(ConfigError):
         SelectionConfig(budget=1, candidate_pool=(9,)).validate(3)
     for pool in ((2 ** 70,), (-2 ** 70, 1)):  # past int64 too
         with pytest.raises(ConfigError, match="out-of-range"):
@@ -251,6 +253,11 @@ def test_auto_radius_matches_whole_sample(n, d, block_bytes, monkeypatch):
     cfg = SelectionConfig(budget=1, rng_seed=7)
     assert _resolve_radius(cfg, feats) == oracles.sampled_radius(
         feats, cfg.rng_seed, RADIUS_QUANTILE)
+
+
+def test_auto_radius_single_node_is_zero():
+    cfg = SelectionConfig(budget=1)
+    assert _resolve_radius(cfg, np.ones((1, 3))) == 0.0
 
 
 def test_auto_radius_memory_bounded():
