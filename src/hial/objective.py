@@ -59,7 +59,7 @@ class FeatureBalls:
     """Radius-``r`` Euclidean neighborhoods in propagated feature space.
 
     Row ``u`` of the coverage form is the ball of node ``u``, the ids ``v``
-    with ``Σ_k (x_u,k − x_v,k)² ≤ r²``, built straight into one of three
+    within ``r`` by :func:`pair_distances`, built straight into one of three
     forms. Only that form is kept, and it is never written: :meth:`unions`
     composes groups of its rows into a new instance of the same form,
     :meth:`cover` marks one row's ids in the caller's own covered set (from
@@ -76,7 +76,7 @@ class FeatureBalls:
       rechecked near ``r``, a covered set one word array, an uncovered
       count the popcount of a row and ``~covered``, a union the OR of its
       rows (:func:`_group_or`);
-    * **CSR** otherwise: a boolean CSR of a KD-tree pair query, a covered
+    * **CSR** otherwise: a boolean CSR of rechecked KD-tree pairs, a covered
       set one boolean array, an uncovered count a row times ``~covered``,
       and a union a row of one boolean product (its sum lists each id once).
 
@@ -107,12 +107,7 @@ class FeatureBalls:
 
     def _within(self, x: np.ndarray, u: np.ndarray, v: np.ndarray):
         """Whether each pair ``(u[i], v[i])`` is within the radius."""
-        out = np.empty(u.size, dtype=bool)
-        step = max(1, self.BLOCK_BYTES // (8 * max(1, x.shape[1])))
-        for s in range(0, u.size, step):
-            diff = x[u[s:s + step]] - x[v[s:s + step]]
-            out[s:s + step] = np.einsum("ij,ij->i", diff, diff) <= self._r2
-        return out
+        return pair_distances(x, u, v) <= self.radius
 
     def _estimate_nnz(self, points: np.ndarray) -> int:
         """The balls' id count from the share of pairs within the radius."""
@@ -136,13 +131,13 @@ class FeatureBalls:
         weighted sum per 8 rows (on a 64 x 2048 tile, ``packbits`` along
         the rows or a transposed copy took 10-25x as long).
 
-        A pair within ``tol`` of r² is decided by :meth:`_within`, whose
-        test is symmetric, and every other pair agrees with it, so the
-        bitset is symmetric and its bits do not depend on the BLAS kernel.
-        With ``ε`` the float64 epsilon and ``M = max|x|²``, a tile entry
-        errs by at most ``(d+2)ε`` times its terms' magnitudes,
-        ``2|x_a||x_b| + |x_a|² + |x_b|² ≤ 4M``, plus ``dε·M`` for each of
-        its two stored norms: ``(6d+8)ε·M``. :meth:`_within` errs by at most
+        A pair within ``tol`` of r² is decided by :meth:`_within`, and the
+        norm rule agrees with the tile on every other pair, so the bitset is
+        symmetric and its bits do not depend on the BLAS kernel. With ``ε``
+        the float64 epsilon and ``M = max|x|²``, a tile entry errs by at
+        most ``(d+2)ε`` times its terms' magnitudes, ``2|x_a||x_b| + |x_a|²
+        + |x_b|² ≤ 4M``, plus ``dε·M`` for each of its two stored norms:
+        ``(6d+8)ε·M``. The norm rule's Σ and square root err by at most
         ``(d+3)ε·r²`` near r². Their sum stays below ``tol``."""
         n, d = x.shape
         tol = 4 * np.finfo(np.float64).eps * (
@@ -187,15 +182,20 @@ class FeatureBalls:
         return out.view(np.uint64)
 
     def _build_index(self, points: np.ndarray) -> sp.csr_matrix:
-        """Boolean CSR of every ball: both orders of each KD-tree pair and
-        each node's own id. A sum of canonical CSRs is canonical, so every
-        row lists its ids sorted and once."""
+        """Boolean CSR of every ball: both orders of each KD-tree pair that
+        :meth:`_within` admits and each node's own id. A sum of canonical
+        CSRs is canonical, so every row lists its ids sorted and once."""
         from scipy.spatial import cKDTree  # ~0.2 s to import; sparse only
-        n = self.num_nodes
-        pairs = cKDTree(points).query_pairs(self.radius, output_type="ndarray")
-        upper = sp.csr_matrix(
-            (np.ones(pairs.shape[0], dtype=bool), pairs.T), shape=(n, n))
+        n, d = points.shape
+        # a pair within r has Σ ≤ r²(1+2ε), which cKDTree sums to within
+        # about dε·r²: the square of r(1+4(d+1)ε) lies past both
+        reach = self.radius * (1 + 4 * (d + 1) * np.finfo(np.float64).eps)
+        pairs = cKDTree(points).query_pairs(reach, output_type="ndarray")
+        # the mask as data: pairs[mask] would copy the int64 pairs
+        upper = sp.csr_matrix((self._within(points, *pairs.T), pairs.T),
+                              shape=(n, n))
         del pairs  # the sums need only the CSR
+        upper.eliminate_zeros()
         return upper + upper.T + sp.identity(n, dtype=bool, format="csr")
 
     # -- coverage ---------------------------------------------------------
@@ -272,6 +272,19 @@ def _group_or(table: np.ndarray, groups: sp.csr_matrix,
             some = starts < indptr[lo + 1:hi + 1]  # an empty group stays 0
             out[lo:hi][some] = np.bitwise_or.reduceat(
                 table.take(ids[p:q], axis=0), starts[some] - p, axis=0)
+    return out
+
+
+def pair_distances(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Distance of each row pair ``(x[u[i]], x[v[i]])``: the bits of
+    ``np.linalg.norm(x[u] - x[v], axis=1)`` (not of a 1-D norm or an
+    ``einsum``), from blocks of about ``FeatureBalls.BLOCK_BYTES``."""
+    out = np.empty(u.size)
+    step = max(1, FeatureBalls.BLOCK_BYTES // (16 * max(1, x.shape[1])))
+    for s in range(0, u.size, step):
+        diff = x[u[s:s + step]]
+        diff -= x[v[s:s + step]]
+        out[s:s + step] = np.linalg.norm(diff, axis=1)
     return out
 
 

@@ -213,15 +213,7 @@ def _resolve_radius(cfg: SelectionConfig, feats: np.ndarray) -> float:
     i = rng.integers(0, n, size=n_pairs)
     j = rng.integers(0, n - 1, size=n_pairs)
     j = np.where(j >= i, j + 1, j)  # distinct pair without rejection
-    # pairs whose two gathered rows take about 1 MiB at a time; each
-    # distance has the bits of the whole sample's
-    dist = np.empty(n_pairs)
-    pair_bytes = 16 * max(1, feats.shape[1])
-    step = max(1, objective.FeatureBalls.BLOCK_BYTES // pair_bytes)
-    for s in range(0, n_pairs, step):
-        diff = feats[i[s:s + step]]
-        diff -= feats[j[s:s + step]]
-        dist[s:s + step] = np.linalg.norm(diff, axis=1)
+    dist = objective.pair_distances(feats, i, j)  # the balls' own rule
     return float(np.quantile(dist, RADIUS_QUANTILE, overwrite_input=True))
 
 

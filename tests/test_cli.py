@@ -509,6 +509,44 @@ def test_kd_tree_loaded_only_for_sparse_balls(tmp_path, radius, loaded):
     assert len(json.loads(out.read_text())["seeds"]) == 10
 
 
+@pytest.mark.parametrize("m", [3, 6])
+@pytest.mark.parametrize("shift", [0.0, 2.0 ** 27],
+                         ids=["sparse", "dense-shifted"])
+def test_select_ball_keeps_pairs_at_the_radius(tmp_path, capsys, m, shift):
+    """Binary features at k=0, where each node activates only itself: the
+    first seed's MoI counts every id within Hamming distance m of it, those
+    at distance exactly √m included, although fl(√m)² < m. The features
+    are sparse cells, or dense cells shifted by 2^27, whose squared norms
+    pass 2^53."""
+    rng = np.random.default_rng(m)
+    n, d = 200, 12
+    bits = rng.random((n, d)) < 0.3
+    edges = tmp_path / "g.hyperedges"
+    edges.write_text("".join(f"{i} {(i + 1) % n} {j}\n" for i, j in
+                             enumerate(rng.integers(0, n, n).tolist())))
+    if shift:
+        rows = [",".join(map(repr, row)) for row in (bits + shift).tolist()]
+        flags = []
+    else:  # a row with no ones lists index 0 as 0
+        rows = [",".join(f"{j}:1" for j in np.flatnonzero(row)) or "0:0"
+                for row in bits]
+        flags = ["--sparse-features"]
+    feats = tmp_path / "g.features.csv"
+    feats.write_text("".join(f"{i},{row}\n" for i, row in enumerate(rows)))
+    radius = float(np.sqrt(m))
+    assert radius * radius < m
+    out = tmp_path / "res.json"
+    code, _, err = run(["select", "--hyperedges", str(edges), "--features",
+                        str(feats), *flags, "--k", "0", "--theta", "0.5",
+                        "--radius", repr(radius), "--budget", "1",
+                        "--output", str(out)], capsys)
+    assert code == 0, err
+    doc = json.loads(out.read_text())
+    hamming = (bits != bits[int(doc["seeds"][0])]).sum(axis=1)
+    assert (hamming == m).any()
+    assert doc["trace"][0]["moi"] == np.count_nonzero(hamming <= m)
+
+
 def test_infinite_radius_accepted(capsys):
     code, stdout, _ = run(toy_args(["--budget", "2", "--radius", "inf"]),
                           capsys)

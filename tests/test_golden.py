@@ -1,0 +1,71 @@
+"""``hial select`` on ``sample_data`` against the result documents kept in
+``tests/data``: seeds, evaluation counts, MoI values, parameter names and
+every other non-float exactly, and each float within a relative 1e-12, so
+the check also holds on a numpy or BLAS kernel that rounds differently.
+
+A change of intended output rewrites the documents with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from hial import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE = ROOT / "sample_data"
+GOLDEN = ROOT / "tests" / "data"
+CASES = {
+    "plain": [],
+    "radius-0": ["--radius", "0"],
+    "radius-inf": ["--radius", "inf"],
+    "hgnn-k3": ["--backend", "hgnn", "--k", "3"],
+    "train-split": ["--splits", str(SAMPLE / "toy.splits.json"),
+                    "--train-split"],
+}
+
+
+def select(extra, out: Path) -> dict:
+    """The result document of ``hial select`` on the toy data, written to
+    ``out``."""
+    code = cli.main(["select", "--hyperedges", str(SAMPLE / "toy.hyperedges"),
+                     "--features", str(SAMPLE / "toy.features.csv"), *extra,
+                     "--output", str(out)])
+    assert code == cli.EXIT_OK
+    return json.loads(out.read_text())
+
+
+def assert_same(got, want, where="document"):
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            assert_same(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_same(a, b, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), where
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_sample_data_matches_golden(name, tmp_path, capsys):
+    got = select(CASES[name], tmp_path / "result.json")
+    want = json.loads((GOLDEN / f"toy-{name}.json").read_text())
+    for doc in (got, want):
+        del doc["tool_version"]  # a release changes it, not the selection
+    assert_same(got, want)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, extra in CASES.items():
+        select(extra, GOLDEN / f"toy-{name}.json")
+    sys.exit(0)

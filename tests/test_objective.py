@@ -170,11 +170,15 @@ def test_balls_match_double_loop(seed, d):
 # the shifted grid keeps every difference exact, but its squared norms
 # and products pass 2^53, so their rounding (up to a few units) dwarfs the
 # unit spacing of the squared distances: only the recheck decides (below
-# 2^26, as at 2^20, the product form would still be exact)
+# 2^26, as at 2^20, the product form would still be exact). At √3 and √6,
+# fl(r·r) < r², so a product compared with fl(r·r) would drop the pairs at
+# distance exactly r, which the norm rule keeps
+TIE_RADII = (0.0, 1.0, np.sqrt(2.0), np.sqrt(3.0), 2.0, np.sqrt(6.0))
+
+
 @pytest.mark.parametrize("r,shift", [
-    *[pytest.param(r, 0.0, id=str(r)) for r in (0.0, 1.0, np.sqrt(2.0), 2.0)],
-    *[pytest.param(r, 2.0 ** 27, id=f"{r}-shifted")
-      for r in (0.0, 1.0, np.sqrt(2.0), 2.0)]])
+    *[pytest.param(r, 0.0, id=str(r)) for r in TIE_RADII],
+    *[pytest.param(r, 2.0 ** 27, id=f"{r}-shifted") for r in TIE_RADII]])
 def test_balls_exact_ties_on_integer_grid(r, shift):
     """Grid points sit exactly on the radius and some coincide: a distance
     equal to the radius is inside, and duplicates share their balls."""
@@ -203,7 +207,6 @@ TIE_GRID = np.stack(np.meshgrid(np.arange(6.0), np.arange(5.0),
 TIE_POINTS = np.concatenate([TIE_GRID, TIE_GRID[
     np.random.default_rng(17).choice(len(TIE_GRID), 25)]])[
     np.random.default_rng(18).permutation(len(TIE_GRID) + 25)]
-TIE_RADII = (0.0, 1.0, np.sqrt(2.0), 2.0)
 
 
 @functools.cache
@@ -230,6 +233,46 @@ def test_fill_ties_reach_mirrored_tiles(r, shift, block_bytes, monkeypatch):
     assert (bits == bits.T).all()
     for u in range(n):
         assert set(np.flatnonzero(bits[u]).tolist()) == tie_balls(r)[u]
+
+
+@pytest.mark.parametrize("r,shift", [
+    *[pytest.param(r, 0.0, id=str(r)) for r in TIE_RADII],
+    *[pytest.param(r, 2.0 ** 27, id=f"{r}-shifted") for r in TIE_RADII]])
+def test_pair_query_ties_match_fill(r, shift):
+    """At radii that grid distances hit exactly, the KD-tree's rows equal
+    the bitset fill's and the oracle's: the two forms decide ties alike."""
+    pts = TIE_POINTS + shift
+    n = pts.shape[0]
+    balls = FeatureBalls(pts, r)
+    bits = unpacked(balls._fill(pts, squared_norms(pts), -(-n // 64)), n)
+    csr = balls._build_index(pts)
+    assert csr.has_canonical_format
+    for u in range(n):
+        row = csr.indices[csr.indptr[u]:csr.indptr[u + 1]].tolist()
+        assert row == np.flatnonzero(bits[u]).tolist()
+        assert set(row) == tie_balls(r)[u]
+
+
+@pytest.mark.parametrize("d", [3, 8, 32])
+def test_balls_keep_pairs_at_a_computed_distance(d):
+    """A radius equal to a pair's computed distance, as ``radius=auto``'s
+    quantile can be, keeps that pair and decides every other pair by the
+    oracle's rule, in both forms."""
+    rng = np.random.default_rng(d)
+    n = 150
+    pts = rng.normal(size=(n, d))
+    words = -(-n // 64)
+    for u, v in rng.integers(0, n, (10, 2)).tolist():
+        r = float(np.linalg.norm(pts[[u]] - pts[[v]], axis=1)[0])
+        balls = FeatureBalls(pts, r)
+        bits = unpacked(balls._fill(pts, squared_norms(pts), words), n)
+        csr = balls._build_index(pts)
+        want = oracles.feature_balls(pts, r)
+        assert v in want[u]
+        for a in range(n):
+            assert set(np.flatnonzero(bits[a]).tolist()) == want[a]
+            assert set(csr.indices[csr.indptr[a]:csr.indptr[a + 1]].tolist()) \
+                == want[a]
 
 
 @pytest.mark.parametrize("d", [4, 8, 32])
