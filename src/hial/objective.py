@@ -8,11 +8,10 @@ activated nodes. The diffusion side scores the expected number of one-hop
 neighbors activated through shared hyperedges. Both are monotone and
 submodular, so the greedy selector keeps an incrementally updated
 :class:`CoverageState` and scores whole batches of candidates without
-mutation: a MoI gain reads one union row, composed once per selection
-and shared by its states, and a diffusion gain reads one entry of a sparse
-mat-vec, recomputed once per seed in one pass over the adjacency entries
-(O(nnz)). Seeding a node adds those scored gains and marks its one row
-covered.
+mutation: a MoI gain reads one union row, which the state composes once,
+and a diffusion gain reads one entry of a sparse mat-vec, recomputed once
+per seed in one pass over the adjacency entries (O(nnz)). Seeding a node
+adds those scored gains and marks its one row covered.
 """
 
 from __future__ import annotations
@@ -65,17 +64,19 @@ class FeatureBalls:
     :meth:`cover` marks one row's ids in the caller's own covered set (from
     :meth:`empty`) and :meth:`uncovered` counts rows' ids outside it:
 
-    * **shared row** for an infinite radius (or ``r²`` past float64): one
-      all-ids bitset row, read as every row (stride 0), and a mask of the
-      live rows (every ball; non-empty unions), n/64 words; a union's mask
-      is one boolean product of the groups with the mask;
-    * **bitset** when its ``n·⌈n/64⌉·8`` bytes are no more than the
-      ``nnz·5`` bytes (int32 ids, bool data) of the CSR, estimated from the
-      share of pairs within ``radius`` (all, or ``SAMPLE_PAIRS`` drawn):
-      rows of ``⌈n/64⌉`` uint64 words from blocked distance products
-      rechecked near ``r``, a covered set one word array, an uncovered
-      count the popcount of a row and ``~covered``, a union the OR of its
-      rows (:func:`_group_or`);
+    * **live mask** for an infinite radius (or ``r²`` past float64): a live
+      row holds every id, so only the mask of live rows is kept (every
+      ball; the non-empty unions), a covered set is one boolean array, all
+      set once a live row is covered, an uncovered count is ``n`` less the
+      covered ids for a live row and 0 otherwise, and a union's mask is one
+      boolean product of the groups with the mask;
+    * **bitset** when its ``n·⌈n/64⌉·8`` bytes are no more than the CSR
+      build's peak, about 15 bytes per id from a pair, with the ids
+      estimated from the share of pairs within ``radius`` (all, or
+      ``SAMPLE_PAIRS`` drawn): rows of ``⌈n/64⌉`` uint64 words from blocked
+      distance products rechecked near ``r``, a covered set one word array,
+      an uncovered count the popcount of a row and ``~covered``, a union
+      the OR of its rows (:func:`_group_or`);
     * **CSR** otherwise: a boolean CSR of rechecked KD-tree pairs, a covered
       set one boolean array, an uncovered count a row times ``~covered``,
       and a union a row of one boolean product (its sum lists each id once).
@@ -97,10 +98,12 @@ class FeatureBalls:
         self._r2 = self.radius * self.radius  # ** would raise on overflow
         sq = squared_norms(points) if math.isfinite(self.radius) else None
         if not math.isfinite(self._r2):  # every id, whatever the distance
-            row = np.packbits(np.arange(64 * words) < n, bitorder="little")
-            self._bits = np.broadcast_to(row.view(np.uint64), (n, words))
             self._live = np.ones(n, dtype=bool)
-        elif n * words * 8 <= 5 * self._estimate_nnz(points):
+        # the KD-tree build's peak: 15.1-15.5 bytes of ru_maxrss growth per
+        # id from a pair (query_pairs' int64 pairs, the distances and the
+        # summed CSRs), measured at n=20k and 40k, 0.5-2.8% density, four
+        # Gaussian clusters in d=8, scipy 1.17; the fill's is its bitset
+        elif n * words * 8 <= 15 * self._estimate_pair_ids(points):
             self._bits = self._fill(points, sq, words)
         else:
             self._csr = self._build_index(points)
@@ -109,8 +112,9 @@ class FeatureBalls:
         """Whether each pair ``(u[i], v[i])`` is within the radius."""
         return pair_distances(x, u, v) <= self.radius
 
-    def _estimate_nnz(self, points: np.ndarray) -> int:
-        """The balls' id count from the share of pairs within the radius."""
+    def _estimate_pair_ids(self, points: np.ndarray) -> int:
+        """The balls' ids other than their centers, from the share of pairs
+        within the radius."""
         n, k = self.num_nodes, self.SAMPLE_PAIRS
         if n * (n - 1) // 2 <= k:
             u, v = np.triu_indices(n, 1)
@@ -118,7 +122,7 @@ class FeatureBalls:
             u, v = np.random.default_rng(0).integers([[0], [1]], n, (2, k))
             v = (u + v) % n  # never u itself
         hits = np.count_nonzero(self._within(points, u, v))
-        return n + hits * n * (n - 1) // max(1, u.size)
+        return hits * n * (n - 1) // max(1, u.size)
 
     def _fill(self, x: np.ndarray, sq: np.ndarray, words: int) -> np.ndarray:
         """Bitsets from the tiles on or above the diagonal only, each 64
@@ -208,42 +212,45 @@ class FeatureBalls:
 
     def cover(self, covered: np.ndarray, row: int) -> None:
         """Mark the ids of row ``row`` in ``covered``."""
-        if self._bits is None:
+        if self._csr is not None:
             ptr = self._csr.indptr
             covered[self._csr.indices[ptr[row]:ptr[row + 1]]] = True
-        elif self._live is None or self._live[row]:
+        elif self._bits is not None:
             covered |= self._bits[row]
+        elif self._live[row]:
+            covered[:] = True
 
     def uncovered(self, covered: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """int64 count of the ids of each row of ``rows`` not in
         ``covered``."""
         # scipy's row selection costs ~0.1 ms more per call than a numpy
         # gather, but is several times faster on a whole-pool batch
-        if self._bits is None:
+        if self._csr is not None:
             free = (~covered).astype(np.int32)
             return (self._csr[rows] @ free).astype(np.int64)
+        if self._bits is None:  # a live row holds every id
+            free = self.num_nodes - np.count_nonzero(covered)
+            return self._live[rows] * np.int64(free)
         free, step = ~covered, self._block_rows()
         out = np.empty(rows.size, dtype=np.int64)
         for s in range(0, rows.size, step):
             out[s:s + step] = np.bitwise_count(
                 self._bits[rows[s:s + step]] & free).sum(axis=1)
-        return out if self._live is None else out * self._live[rows]
+        return out
 
     def unions(self, groups: sp.csr_matrix) -> "FeatureBalls":
         """The same coverage form, whose row ``i`` is the union of the rows
         at the ids of row ``i`` of the boolean CSR ``groups``: the boolean
         product ``groups @ balls``, whose sum lists each id once,
         :func:`_group_or` of the bitset or, for an infinite radius, the
-        boolean mat-vec ``groups @ live`` (the one shared row stays)."""
+        boolean mat-vec ``groups @ live``."""
         out = copy.copy(self)
-        if self._bits is None:
+        if self._csr is not None:
             out._csr = groups @ self._csr
-        elif self._live is None:
+        elif self._bits is not None:
             out._bits = _group_or(self._bits, groups, self.BLOCK_BYTES)
         else:
             out._live = groups @ self._live
-            out._bits = np.broadcast_to(
-                self._bits[0], (out._live.size, self._bits.shape[1]))
         return out
 
     def _block_rows(self) -> int:
@@ -327,17 +334,16 @@ class CoverageState:
 
     MoI is plain set coverage: seeding ``c`` covers ``U_c``, the union of
     the balls of the nodes in ``A_c``. Neither ``A`` nor the balls change
-    during a selection, so each ``U_c`` is composed once, as row ``c`` of
-    ``sets`` (:meth:`FeatureBalls.unions`), which states may share; each
-    state keeps ``covered``, its own covered set. A MoI gain counts one
-    row's uncovered ids; ``sets`` is never written. The EDV gain of ``c``
-    is ``evasion[c] + β / max(d_c, 1) · reach[c]``, where ``reach`` is the
-    adjacency-count CSR times the evasion probabilities (0 at the seeds),
-    each row summed in stored order: a batch's gains are a gather, and a
-    gain's bits do not depend on its batch. :meth:`add` sums its node's
-    :meth:`gains` into ``moi_value`` and ``edv_value``, marks its row
-    covered and recomputes ``reach``, one pass over the adjacency entries
-    (O(nnz)) per seed.
+    during a selection, so a state composes each ``U_c`` once, as row ``c``
+    of its own ``sets`` (:meth:`FeatureBalls.unions`), beside its own
+    covered set ``covered``. A MoI gain counts one row's uncovered ids;
+    ``sets`` is never written. The EDV gain of ``c`` is ``evasion[c] + β /
+    max(d_c, 1) · reach[c]``, where ``reach`` is the adjacency-count CSR
+    times the evasion probabilities (0 at the seeds), each row summed in
+    stored order: a batch's gains are a gather, and a gain's bits do not
+    depend on its batch. :meth:`add` sums its node's :meth:`gains` into
+    ``moi_value`` and ``edv_value``, marks its row covered and recomputes
+    ``reach``, one pass over the adjacency entries (O(nnz)) per seed.
 
     Single-writer; :meth:`gains` is a pure read and may be evaluated for
     any number of candidates against a frozen state.
@@ -345,21 +351,11 @@ class CoverageState:
 
     def __init__(self, g: Hypergraph, acts: sp.csr_matrix,
                  balls: FeatureBalls, beta: float):
-        self._start(g, balls.unions(acts), beta)  # composes its own sets
-
-    @classmethod
-    def from_sets(cls, g: Hypergraph, sets: FeatureBalls, beta: float):
-        """A state over rows already composed, which it shares."""
-        state = cls.__new__(cls)
-        state._start(g, sets, beta)
-        return state
-
-    def _start(self, g: Hypergraph, sets: FeatureBalls, beta: float) -> None:
         _check_beta(beta)
         self.graph = g
         self.beta = beta
-        self.sets = sets
-        self.covered = sets.empty()
+        self.sets = balls.unions(acts)
+        self.covered = self.sets.empty()
         # marks the seeds, as evasion cannot: a non-seed's can underflow to 0
         self.in_seed = np.zeros(g.num_nodes, dtype=bool)
         self.evasion = np.ones(g.num_nodes, dtype=np.float64)

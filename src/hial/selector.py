@@ -113,20 +113,22 @@ class SelectionResult:
 
 @dataclass
 class SelectionContext:
-    """Frozen selection inputs shared by the naive and lazy paths."""
+    """Frozen selection inputs shared by the naive and lazy paths: the
+    activation sets and the balls, from which each fresh state composes
+    its own ``U_c`` rows, and the normalizers."""
 
     graph: Hypergraph
     config: SelectionConfig  # with theta/radius resolved to numbers
     pool: np.ndarray
     acts: sp.csr_matrix  # activation sets, every row outside the pool empty
-    sets: objective.FeatureBalls  # U_c at row c < n, MoI(V)'s row at n
+    balls: objective.FeatureBalls
     moi_hat: float
     edv_hat: float
     resolved_params: dict = field(default_factory=dict)
 
     def fresh_state(self) -> objective.CoverageState:
-        return objective.CoverageState.from_sets(self.graph, self.sets,
-                                                 self.config.beta)
+        return objective.CoverageState(self.graph, self.acts, self.balls,
+                                       self.config.beta)
 
 
 def _resolve_theta(cfg: SelectionConfig, ic: propagation.InfluenceColumns,
@@ -220,9 +222,9 @@ def _resolve_radius(cfg: SelectionConfig, feats: np.ndarray) -> float:
 def prepare(g: Hypergraph, features: np.ndarray,
             cfg: SelectionConfig) -> SelectionContext:
     """Build the propagation, influence, and coverage structures for a
-    selection run, resolving any 'auto' parameters. Its one composition
-    gives every ``U_c`` of the pool and the union over σ_all, the nodes
-    that some node activates whatever the pool: MoI(V) is its size."""
+    selection run, resolving any 'auto' parameters. MoI(V) is the size of
+    one union, over σ_all, the nodes that some node activates whatever the
+    pool; the states compose the pool's ``U_c``."""
     pool = cfg.validate(g.num_nodes)
     t = propagation.build_transition(g, cfg.backend)
     ps = propagation.propagate(t, features, cfg.k, cfg.alpha)
@@ -235,15 +237,14 @@ def prepare(g: Hypergraph, features: np.ndarray,
     acts = objective.build_activation_sets(ic, theta)
     del ic  # the ball build's transient need not sit on top of the matrix
     balls = objective.build_feature_balls(ps, radius)
-    sigma_all = np.bincount(acts.indices, minlength=g.num_nodes) > 0
+    sigma_all = balls.unions(sp.csr_matrix(
+        np.bincount(acts.indices, minlength=g.num_nodes) > 0))
+    moi_hat = int(sigma_all.uncovered(sigma_all.empty(), np.array([0]))[0])
     if pool.size < g.num_nodes:  # then only the pool's unions are composed
         outside = np.ones(g.num_nodes, dtype=bool)
         outside[pool] = False
         acts.data[np.repeat(outside, np.diff(acts.indptr))] = False
         acts.eliminate_zeros()
-    sets = balls.unions(sp.vstack([acts, sp.csr_matrix(sigma_all)],
-                                  format="csr"))
-    moi_hat = int(sets.uncovered(sets.empty(), np.array([g.num_nodes]))[0])
     if moi_hat == 0:
         raise ConfigError("whole-graph coverage is empty: theta excludes "
                           "every node; lower theta or its quantile")
@@ -254,7 +255,7 @@ def prepare(g: Hypergraph, features: np.ndarray,
         "gamma": cfg.gamma, "backend": cfg.backend,
         "moi_hat": moi_hat, "edv_hat": edv_hat,
     }
-    return SelectionContext(g, resolved, pool, acts, sets, moi_hat, edv_hat,
+    return SelectionContext(g, resolved, pool, acts, balls, moi_hat, edv_hat,
                             params)
 
 

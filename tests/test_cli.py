@@ -87,6 +87,26 @@ def test_stats_deterministic(capsys):
     assert out_a == out_b
 
 
+@pytest.mark.parametrize("radius", ["auto", "0", "inf"])
+def test_stats_composes_one_row(radius, capsys, monkeypatch):
+    """stats prints MoI(V) from one :meth:`FeatureBalls.unions` call over
+    one row, the union over σ_all, and composes no ``U_c``."""
+    from hial import objective
+    calls = []
+    unions = objective.FeatureBalls.unions
+
+    def counted(self, groups):
+        calls.append(groups.shape)
+        return unions(self, groups)
+
+    monkeypatch.setattr(objective.FeatureBalls, "unions", counted)
+    code, out, _ = run(["stats", "--hyperedges", str(SAMPLE / "toy.hyperedges"),
+                        "--features", str(SAMPLE / "toy.features.csv"),
+                        "--radius", radius], capsys)
+    assert code == 0 and "moi normalizer" in out
+    assert calls == [(1, 12)]
+
+
 def test_stats_ignores_budget_on_small_split(tmp_path, capsys):
     """stats selects nothing, so the default --budget 10 need not fit a
     5-node train split, and --budget does not change the report."""

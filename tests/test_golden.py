@@ -1,14 +1,19 @@
-"""``hial select`` on ``sample_data`` against the result documents kept in
-``tests/data``: seeds, evaluation counts, MoI values, parameter names and
-every other non-float exactly, and each float within a relative 1e-12, so
-the check also holds on a numpy or BLAS kernel that rounds differently.
+"""``hial select`` and ``hial stats`` on ``sample_data`` against the
+outputs kept in ``tests/data``: seeds, evaluation counts, MoI values,
+parameter names and every other non-float exactly, and each float within a
+relative 1e-12, so the check also holds on a numpy or BLAS kernel that
+rounds differently. In a stats report every number is compared that way
+and the text around the numbers exactly.
 
-A change of intended output rewrites the documents with
+A change of intended output rewrites both with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import contextlib
+import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -27,6 +32,8 @@ CASES = {
     "train-split": ["--splits", str(SAMPLE / "toy.splits.json"),
                     "--train-split"],
 }
+STATS_CASES = ("plain", "radius-0", "radius-inf", "train-split")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
 
 
 def select(extra, out: Path) -> dict:
@@ -37,6 +44,17 @@ def select(extra, out: Path) -> dict:
                      "--output", str(out)])
     assert code == cli.EXIT_OK
     return json.loads(out.read_text())
+
+
+def stats(extra) -> str:
+    """The report of ``hial stats`` on the toy data."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["stats", "--hyperedges",
+                         str(SAMPLE / "toy.hyperedges"), "--features",
+                         str(SAMPLE / "toy.features.csv"), *extra])
+    assert code == cli.EXIT_OK
+    return out.getvalue()
 
 
 def assert_same(got, want, where="document"):
@@ -64,8 +82,19 @@ def test_sample_data_matches_golden(name, tmp_path, capsys):
     assert_same(got, want)
 
 
+@pytest.mark.parametrize("name", STATS_CASES)
+def test_sample_data_stats_match_golden(name):
+    got = stats(CASES[name])
+    want = (GOLDEN / f"toy-stats-{name}.txt").read_text()
+    assert NUMBER.sub("#", got) == NUMBER.sub("#", want)
+    assert_same([float(x) for x in NUMBER.findall(got)],
+                [float(x) for x in NUMBER.findall(want)], "report")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, extra in CASES.items():
         select(extra, GOLDEN / f"toy-{name}.json")
+    for name in STATS_CASES:
+        (GOLDEN / f"toy-stats-{name}.txt").write_text(stats(CASES[name]))
     sys.exit(0)

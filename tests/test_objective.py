@@ -17,7 +17,8 @@ from hial import (
     propagate,
     unified_objective,
 )
-from hial.objective import CoverageState, FeatureBalls, squared_norms
+from hial.objective import (CoverageState, FeatureBalls, pair_distances,
+                            squared_norms)
 import oracles
 
 
@@ -105,20 +106,29 @@ def test_activation_memory_follows_output():
 
 def ball(balls, u):
     """Sorted ids of the ball of node ``u``, read from its coverage form:
-    row ``u`` of the CSR, or bitset row ``u`` unpacked, unless the mask of
-    live rows leaves it out (empty)."""
-    if balls._bits is None:
+    row ``u`` of the CSR, bitset row ``u`` unpacked, or, for an infinite
+    radius, every id if the mask of live rows holds ``u`` and none if not."""
+    if balls._csr is not None:
         ptr = balls._csr.indptr
         return balls._csr.indices[ptr[u]:ptr[u + 1]]
-    if balls._live is not None and not balls._live[u]:
-        return np.array([], dtype=np.int64)
+    if balls._bits is None:
+        return np.arange(balls.num_nodes if balls._live[u] else 0)
     bits = np.unpackbits(balls._bits[u].view(np.uint8), bitorder="little")
     return np.flatnonzero(bits[:balls.num_nodes])
 
 
+def holds_no_table(balls):
+    """Whether the balls keep only their mask of live rows: no CSR and no
+    bitset, so no ``n``-row table."""
+    return balls._csr is None and balls._bits is None and \
+        balls._live is not None
+
+
 def coverage_form(balls):
-    """The arrays of the balls' coverage form: the CSR or the bitset."""
-    return balls._csr if balls._bits is None else balls._bits
+    """The arrays of the balls' coverage form: the CSR, the bitset or the
+    mask of live rows."""
+    return next(form for form in (balls._csr, balls._bits, balls._live)
+                if form is not None)
 
 
 def assert_balls_match_oracle(balls, points, r):
@@ -146,7 +156,7 @@ def test_radius_infinite_covers_all():
     balls = build_feature_balls(ps, np.inf)
     for u in range(n):
         assert ball(balls, u).tolist() == list(range(n))
-    assert balls._bits.strides[0] == 0  # one shared row, not n copies
+    assert holds_no_table(balls)
 
 
 def test_negative_radius_rejected():
@@ -285,7 +295,7 @@ def test_fill_matches_pair_query(d):
         + rng.normal(size=(n, d))
     dist = np.linalg.norm(pts[:, None] - pts[None], axis=2)
     words = -(-n // 64)
-    for q, dense in ((0.01, False), (0.2, True)):
+    for q, dense in ((0.005, False), (0.2, True)):
         r = float(np.quantile(dist[np.triu_indices(n, 1)], q))
         balls = FeatureBalls(pts, r)
         assert (balls._bits is not None) == dense
@@ -335,6 +345,37 @@ def test_csr_balls_memory_follows_output(monkeypatch):
     so it takes the CSR."""
     pts = np.random.default_rng(12).normal(size=(400, 32)) * 0.055
     assert_build_memory_follows_output(monkeypatch, pts, 0.3, dense=False)
+
+
+def test_bitset_chosen_where_the_csr_build_peaks_higher(monkeypatch):
+    """At 2% density the kept CSR (5 bytes per id) is smaller than the
+    bitset, but its KD-tree build peaks higher (about 15 bytes per id from
+    a pair), so the bitset is chosen: its fill holds the output, the two
+    product operands and one tile's buffers, below the CSR build's traced
+    peak, which misses the pair query's own buffer."""
+    import scipy.spatial  # noqa: F401 -- loading it is not the build's cost
+    monkeypatch.setattr(FeatureBalls, "BLOCK_BYTES", 1 << 17)
+    rng = np.random.default_rng(5)
+    n, d = 6000, 8
+    pts = rng.normal(size=(4, d))[rng.integers(0, 4, n)] * 3 \
+        + rng.normal(size=(n, d))
+    r = float(np.quantile(pair_distances(pts, *rng.integers(0, n, (2, 20000))),
+                          0.02))
+    tracemalloc.start()
+    try:
+        balls = FeatureBalls(pts, r)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        csr = balls._build_index(pts)
+        csr_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert balls._bits is not None
+    out = balls._bits.nbytes
+    assert 0.008 < csr.nnz / n ** 2 < 0.025  # in the band
+    assert 5 * csr.nnz < out  # the kept CSR alone would have chosen it
+    assert peak < out + 2 * (16 * (d + 2) * n + FeatureBalls.BLOCK_BYTES)
+    assert peak < csr_peak
 
 
 @pytest.mark.parametrize("value,radius", [
@@ -552,8 +593,9 @@ def test_edv_gains_bits_match_ordered_row_sums(seed):
     edges = oracles.random_hypergraph(rng, n, int(rng.integers(2, 30)), 8)
     g = build(edges + [[n]], num_nodes=n + 3)
     beta = float(rng.uniform(0.05, 0.95))
-    sets = FeatureBalls(rng.normal(size=(n + 3, 2)), 0.0)
-    state = CoverageState.from_sets(g, sets, beta)
+    balls = FeatureBalls(rng.normal(size=(n + 3, 2)), 0.0)
+    state = CoverageState(g, sp.identity(n + 3, dtype=bool, format="csr"),
+                          balls, beta)
     indptr, indices, counts = g.adjacency()
     for v in rng.permutation(n + 3)[:8].tolist():
         cands = np.flatnonzero(~state.in_seed)
@@ -589,10 +631,10 @@ def test_batched_gains_match_oracle(seed, radius, block_rows, monkeypatch):
     monkeypatch.setattr(FeatureBalls, "BLOCK_BYTES", 8 * block_rows)
     rng, g, edges, n, m_k, acts, balls, state, oballs, theta, beta = \
         build_state(seed, radius=radius, beta=0.5)
-    assert (balls._bits is None) == (radius == 0.0)
-    assert (state.sets._bits is None) == (radius == 0.0)
-    if radius == np.inf:  # one shared row, not n copies
-        assert state.sets._bits.strides[0] == 0
+    assert (balls._csr is not None) == (radius == 0.0)
+    assert (state.sets._csr is not None) == (radius == 0.0)
+    if radius == np.inf:  # a mask of live rows, not n copies of one
+        assert holds_no_table(state.sets)
     for u in range(n):
         expect = set().union(*(oballs[j] for j in activated_by(acts, u)))
         assert set(ball(state.sets, u).tolist()) == expect
@@ -622,7 +664,7 @@ def test_batched_gains_match_oracle(seed, radius, block_rows, monkeypatch):
     # add marks ids covered and writes neither the balls nor the unions
     for form, snapshot in zip((coverage_form(balls),
                                coverage_form(state.sets)), snapshots):
-        if balls._bits is None:
+        if sp.issparse(form):
             assert (form != snapshot).nnz == 0
         else:
             assert np.array_equal(form, snapshot)
@@ -659,9 +701,10 @@ def test_unions_match_oracle(seed, radius, small_blocks, monkeypatch):
     indptr = np.concatenate([[0], np.cumsum(sizes)])
     rows = rng.integers(0, n, size=indptr[-1])
     sets = balls.unions(groups_csr(indptr, rows, n))
-    assert (sets._bits is None) == (balls._bits is None) == (radius == 0.0)
-    if radius == np.inf:  # one shared row, not a row per group
-        assert sets._bits.strides[0] == 0
+    assert (sets._csr is not None) == (balls._csr is not None) == \
+        (radius == 0.0)
+    if radius == np.inf:  # a mask of live rows, not a row per group
+        assert holds_no_table(sets)
     assert sets.num_nodes == n
     for i in range(sizes.size):
         group = rows[indptr[i]:indptr[i + 1]].tolist()
@@ -685,9 +728,8 @@ def test_unions_memory_follows_output(radius, monkeypatch):
     gathering every group's ball rows at once would take about 12x the
     output here. The CSR's one boolean product counts its output before it
     fills it, so its peak stays below twice its output (measured: 1.04x the
-    bitset output, 1.57x the CSR output). An infinite radius keeps its one
-    shared row and a mask of the non-empty groups, far below a row per
-    group."""
+    bitset output, 1.57x the CSR output). An infinite radius keeps only a
+    mask of the non-empty groups, far below a row per group."""
     monkeypatch.setattr(FeatureBalls, "BLOCK_BYTES", 1 << 14)
     rng = np.random.default_rng(4)
     n, d = 2000, 32
@@ -695,7 +737,7 @@ def test_unions_memory_follows_output(radius, monkeypatch):
     if radius == 0.0:
         pts[rng.integers(0, n, n)] = pts[rng.integers(0, n, n)]  # duplicates
     balls = FeatureBalls(pts, radius)
-    assert (balls._bits is None) == (radius == 0.0)
+    assert (balls._csr is not None) == (radius == 0.0)
     sizes = rng.integers(0, 24, size=n)
     indptr = np.concatenate([[0], np.cumsum(sizes)])
     rows = rng.integers(0, n, size=indptr[-1])
@@ -706,14 +748,14 @@ def test_unions_memory_follows_output(radius, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    if sets._bits is None:
+    if sets._csr is not None:
         out = sets._csr.data.nbytes + sets._csr.indices.nbytes \
             + sets._csr.indptr.nbytes
         assert peak < 2 * out
     elif radius == np.inf:  # the gathered mask and the group positions
-        assert sets._bits.strides[0] == 0
+        assert holds_no_table(sets)
         bound = rows.size + 16 * sizes.size
-        assert 8 * bound < sizes.size * balls._bits[0].nbytes  # a row each
+        assert 8 * bound < sizes.size * 8 * -(-n // 64)  # a bitset row each
         assert peak < bound
     else:
         out = sets._bits.nbytes

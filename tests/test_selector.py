@@ -425,7 +425,7 @@ def test_default_config_scale_lazy_equals_naive():
     x = centers[rng.integers(0, 4, n)] + rng.normal(size=(n, 8))
     ctx = prepare(g, x, SelectionConfig(budget=10))
     state = ctx.fresh_state()
-    assert state.sets is ctx.sets and ctx.sets._bits is not None
+    assert ctx.balls._bits is not None and state.sets._bits is not None
     assert ctx.pool.size > 2 * state.sets._block_rows()
     naive = select_naive(ctx)
     lazy = select_lazy(ctx)
@@ -437,33 +437,40 @@ def test_default_config_scale_lazy_equals_naive():
 
 @pytest.mark.parametrize("pool", [None, (0, 2, 5)], ids=["all", "pool"])
 @pytest.mark.parametrize("radius", [0.0, 0.8, math.inf])
-def test_prepare_composes_once_and_states_share_rows(radius, pool,
-                                                     monkeypatch):
-    """``prepare`` composes the coverage rows in one
-    :meth:`FeatureBalls.unions` call, whose last row counts MoI(V); fresh
-    states compose nothing, share those rows and own their covered sets,
-    in the CSR (radius 0), bitset (0.8) and shared-row (inf) forms."""
-    calls = []
+def test_prepare_composes_one_row_and_states_own_rows(radius, pool,
+                                                       monkeypatch):
+    """``prepare`` makes one :meth:`FeatureBalls.unions` call, of one row,
+    whose count is MoI(V); each fresh state makes one call of n rows, row c
+    its ``U_c``, and owns its rows and its covered set, in the CSR
+    (radius 0), bitset (0.8) and live-mask (inf) forms."""
+    calls, outs = [], []
     unions = objective.FeatureBalls.unions
 
     def counted(self, groups):
         calls.append(groups.shape)
-        return unions(self, groups)
+        outs.append(unions(self, groups))
+        return outs[-1]
 
     monkeypatch.setattr(objective.FeatureBalls, "unions", counted)
     g, x, edges, n, ctx = make_context(3, radius=radius, candidate_pool=pool)
-    assert calls == [(n + 1, n)]
-    first, second = ctx.fresh_state(), ctx.fresh_state()
-    assert len(calls) == 1
-    assert first.sets is second.sets is ctx.sets
-    assert (ctx.sets._bits is None) == (radius == 0.0)
-    assert (ctx.sets._live is not None) == (radius == math.inf)
-    assert ctx.sets.uncovered(ctx.sets.empty(), np.array([n]))[0] \
+    assert calls == [(1, n)]
+    assert outs[0].uncovered(outs[0].empty(), np.array([0]))[0] \
         == ctx.moi_hat > 0
+    first, second = ctx.fresh_state(), ctx.fresh_state()
+    assert calls == [(1, n), (n, n), (n, n)]
+    assert outs[1] is first.sets and outs[2] is second.sets
+    assert first.sets is not second.sets
+    assert (ctx.balls._csr is not None) == (radius == 0.0)
+    assert (ctx.balls._live is not None) == (radius == math.inf)
+    m_k, oballs = oracle_inputs(g, x, ctx)
+    in_pool = set(ctx.pool.tolist())
+    assert first.sets.uncovered(first.sets.empty(), np.arange(n)).tolist() \
+        == [oracles.moi_value(m_k, ctx.config.theta, {c}, oballs)
+            if c in in_pool else 0 for c in range(n)]
     moi, _ = first.gains(ctx.pool)
     first.add(int(ctx.pool[np.argmax(moi)]))
     assert first.covered is not second.covered
     assert first.covered.any() and not second.covered.any()
     assert first.moi_value == moi.max() > 0 and second.moi_value == 0
     with pytest.raises(DataError, match="out of range"):
-        first.gains([n])  # MoI(V)'s row is never a candidate
+        first.gains([n])  # no row past the nodes
