@@ -130,10 +130,13 @@ class FeatureBalls:
         one product of ``[x, |x|², 1]`` and ``[−2x, 1, |x|²]ᵀ`` computed
         in products of ≤ 2^18 multiply-adds, which OpenBLAS keeps on this
         thread (waking its workers per tile stalls a busy host). A tile's
-        rows are packed in place, and its part right of the diagonal block
-        lands mirrored in its columns' rows: 64 rows are 8 whole bytes, one
-        weighted sum per 8 rows (on a 64 x 2048 tile, ``packbits`` along
-        the rows or a transposed copy took 10-25x as long).
+        three buffers hold its distances, its bits and its band within
+        ``tol`` of r², from two comparisons and an XOR. Its rows are packed
+        in place, and its part right of the diagonal block lands mirrored in
+        its columns' rows: 64 rows are 8 whole bytes, one ``einsum`` by the
+        bit weights (a 64 x 2048 tile took 21 µs on a 2-vCPU x86 host;
+        ``packbits`` along the rows or over a transposed view or copy,
+        140-290 µs).
 
         A pair within ``tol`` of r² is decided by :meth:`_within`, and the
         norm rule agrees with the tile on every other pair, so the bitset is
@@ -142,7 +145,9 @@ class FeatureBalls:
         most ``(d+2)ε`` times its terms' magnitudes, ``2|x_a||x_b| + |x_a|²
         + |x_b|² ≤ 4M``, plus ``dε·M`` for each of its two stored norms:
         ``(6d+8)ε·M``. The norm rule's Σ and square root err by at most
-        ``(d+3)ε·r²`` near r². Their sum stays below ``tol``."""
+        ``(d+3)ε·r²`` near r². Their sum stays below ``tol``. No entry is
+        NaN: every term and partial sum lies within about 4M, which
+        :func:`squared_norms` keeps finite."""
         n, d = x.shape
         tol = 4 * np.finfo(np.float64).eps * (
             (4 * d + 6) * float(sq.max(initial=0.0)) + (d + 1) * self._r2)
@@ -158,31 +163,28 @@ class FeatureBalls:
         lo, hi = self._r2 - tol, self._r2 + tol
         # one tile's buffers, reused: fresh ones would fault in their pages
         bufs = (np.empty(m * w), np.empty(m * w, dtype=bool),
-                np.empty(m * w, dtype=bool), np.empty(m * w, dtype=np.uint8))
-        weights = (1 << np.arange(8, dtype=np.uint8))[:, None]
+                np.empty(m * w, dtype=bool))
+        weights = 1 << np.arange(8, dtype=np.uint8)
         for a in range(0, n, m):
             for b in range(a, n, w):
                 rows, cols = min(m, n - a), min(w, n - b)
-                dist, hit, odd, bits = (
+                dist, hit, band = (
                     buf[:rows * cols].reshape(rows, cols) for buf in bufs)
                 for s in range(0, cols, c):
                     np.matmul(lhs[a:a + m], rhs[:, b + s:b + min(s + c, cols)],
                               out=dist[:, s:s + c])
-                np.less_equal(dist, lo, out=hit)
-                np.greater(dist, hi, out=odd)
-                odd |= hit
-                np.logical_not(odd, out=odd)  # within tol of r², or NaN
-                k = np.flatnonzero(odd)
+                np.less_equal(dist, hi, out=hit)
+                np.less_equal(dist, lo, out=band)
+                band ^= hit  # within tol of r²
+                k = np.flatnonzero(band)
                 hit.flat[k] = self._within(x, k // cols + a, k % cols + b)
                 out[a:a + m, b // 8:(b + cols + 7) // 8] = np.packbits(
                     hit, 1, bitorder="little")
                 s = max(0, a + m - b)  # first column right of the diagonal
                 if s < cols:  # block, which then holds 64 rows: 8 bytes
-                    grouped = np.multiply(
-                        hit[:, s:].view(np.uint8).reshape(8, 8, cols - s),
-                        weights, out=bits[:, s:].reshape(8, 8, cols - s))
-                    out[b + s:b + cols, a // 8:a // 8 + 8] = grouped.sum(
-                        axis=1, dtype=np.uint8).T
+                    out[b + s:b + cols, a // 8:a // 8 + 8] = np.einsum(
+                        "ijk,j->ki", hit[:, s:].view(np.uint8).reshape(
+                            8, 8, cols - s), weights)
         return out.view(np.uint64)
 
     def _build_index(self, points: np.ndarray) -> sp.csr_matrix:
@@ -231,7 +233,8 @@ class FeatureBalls:
         if self._bits is None:  # a live row holds every id
             free = self.num_nodes - np.count_nonzero(covered)
             return self._live[rows] * np.int64(free)
-        free, step = ~covered, self._block_rows()
+        free = ~covered
+        step = max(1, self.BLOCK_BYTES // self._bits[0].nbytes)  # rows
         out = np.empty(rows.size, dtype=np.int64)
         for s in range(0, rows.size, step):
             out[s:s + step] = np.bitwise_count(
@@ -252,10 +255,6 @@ class FeatureBalls:
         else:
             out._live = groups @ self._live
         return out
-
-    def _block_rows(self) -> int:
-        """Bitset rows per gathered block."""
-        return max(1, self.BLOCK_BYTES // self._bits[0].nbytes)
 
 
 def _group_or(table: np.ndarray, groups: sp.csr_matrix,

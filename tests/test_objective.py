@@ -378,6 +378,53 @@ def test_bitset_chosen_where_the_csr_build_peaks_higher(monkeypatch):
     assert peak < csr_peak
 
 
+@pytest.mark.parametrize("n,d", [(2000, 8), (3000, 32)])
+def test_fill_holds_three_tile_buffers(n, d):
+    """At the default ``BLOCK_BYTES`` the fill holds its bitset, the two
+    product operands and three tile buffers: the distances
+    (``BLOCK_BYTES``), the bits and the tie band (1/8 each), besides a
+    packed tile, its mirrored bytes and the band's ids, all small. Peak
+    over the bitset and operands, measured in both cases: 1.27 blocks; a
+    fourth tile buffer would add 1/8 of one (1.40 measured with four)."""
+    rng = np.random.default_rng(n)
+    pts = rng.normal(size=(4, d))[rng.integers(0, 4, n)] * 3 \
+        + rng.normal(size=(n, d))
+    r = float(np.quantile(pair_distances(pts, *rng.integers(0, n, (2, 20000))),
+                          0.05))
+    balls = FeatureBalls(pts, r)
+    assert balls._bits is not None
+    sq = squared_norms(pts)
+    tracemalloc.start()
+    try:
+        bits = balls._fill(pts, sq, -(-n // 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (bits == balls._bits).all()
+    operands = 2 * n * (d + 2) * 8
+    assert peak < bits.nbytes + operands + 1.25 * FeatureBalls.BLOCK_BYTES \
+        + (64 << 10)
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_fill_near_the_overflow_guard_matches_oracle(d):
+    """Features scaled until ``4·max|x|²`` is 1/16 of the float64 maximum,
+    inside what :func:`squared_norms` admits: every product term and
+    partial sum stays finite, so no tile entry is NaN, and the bitset
+    matches the oracle row by row."""
+    rng = np.random.default_rng(d)
+    n = 200
+    pts = rng.normal(size=(4, d))[rng.integers(0, 4, n)] * 3 \
+        + rng.normal(size=(n, d))
+    big = np.finfo(np.float64).max
+    pts *= np.sqrt(big / 64 / squared_norms(pts).max())
+    assert 4 * squared_norms(pts).max() == pytest.approx(big / 16)
+    r = float(np.quantile(pair_distances(pts, *np.triu_indices(n, 1)), 0.2))
+    balls = FeatureBalls(pts, r)
+    assert balls._bits is not None
+    assert_balls_match_oracle(balls, pts, r)
+
+
 @pytest.mark.parametrize("value,radius", [
     (1e200, 1e201), (1e200, 1.0), (1e308, 1.0), (np.inf, 1.0)])
 def test_balls_overflowing_features_rejected(value, radius):

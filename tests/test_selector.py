@@ -426,7 +426,9 @@ def test_default_config_scale_lazy_equals_naive():
     ctx = prepare(g, x, SelectionConfig(budget=10))
     state = ctx.fresh_state()
     assert ctx.balls._bits is not None and state.sets._bits is not None
-    assert ctx.pool.size > 2 * state.sets._block_rows()
+    block_rows = objective.FeatureBalls.BLOCK_BYTES \
+        // state.sets._bits[0].nbytes
+    assert ctx.pool.size > 2 * block_rows
     naive = select_naive(ctx)
     lazy = select_lazy(ctx)
     assert lazy.seeds == naive.seeds
