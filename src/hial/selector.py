@@ -1,19 +1,18 @@
 """Greedy budgeted seed selection maximizing the unified objective.
 
 Two equivalent paths: a naive reference that re-scores every remaining
-candidate each round, and a lazy path that keeps stale gains in a priority
-queue and re-scores only the top until it is fresh (valid because the
-objective is submodular, so stale gains are upper bounds). Both score
+candidate each round, and a lazy path that keeps stale gains in one sorted
+array and re-scores only its front until the best is fresh (valid because
+the objective is submodular, so stale gains are upper bounds). Both score
 candidates in batches, one :func:`objective.marginal_gain` call each: the
 naive path all remaining candidates per round, the lazy path the whole pool
-once and then the stale top entries in batches of doubling size. Ties
-always go to the smallest node id, which makes the two paths produce
-identical seed sequences.
+once and then the stale front in batches of doubling size. Ties always go
+to the smallest node id, which makes the two paths produce identical seed
+sequences.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field, replace
 
@@ -298,35 +297,44 @@ def select_naive(ctx: SelectionContext) -> SelectionResult:
 
 def select_lazy(ctx: SelectionContext) -> SelectionResult:
     """CELF-style greedy: stale gains are upper bounds under
-    submodularity, so only the queue top is ever re-scored. Each round pops
-    the stale top entries in batches of 1, 2, 4, ... candidates, re-scores
-    each batch in one call and pushes it back, until the top entry is
-    fresh. Produces the same seed sequence as :func:`select_naive`."""
+    submodularity, so only the queue's front is ever re-scored. The queue
+    is one ``complex128`` array sorted ascending, real part the negated
+    gain (assigned: a sum with ``1j * ids`` turns -0.0 into +0.0) and
+    imaginary part the node id (exact in float64); numpy orders complex
+    numbers by real part, then imaginary part, so the front is the largest
+    gain, lowest id on ties. A round re-scores the stale front in batches
+    of 1, 2, 4, ... entries, each cut at the best re-scored key so far,
+    until the next stale key lies above that best, the seed. One stable
+    sort (timsort) then merges the re-scored prefix into the sorted rest.
+    Produces the same seed sequence as :func:`select_naive`."""
     state = ctx.fresh_state()
     seeds: list[int] = []
     gains: list[float] = []
     trace: list[tuple[int, float, float]] = []
-    pool = ctx.pool
-    heap = list(zip((-_gains(ctx, state, pool)).tolist(), pool.tolist(),
-                    [0] * pool.size))
-    heapq.heapify(heap)
-    evals = pool.size
+    queue = np.empty(ctx.pool.size, dtype=np.complex128)
+    queue.real = -_gains(ctx, state, ctx.pool)
+    queue.imag = ctx.pool
+    queue.sort()
+    evals = 0
     for round_no in range(ctx.config.budget):
-        batch = 1
-        while heap[0][2] != round_no:
-            stale: list[int] = []
-            while len(stale) < batch and heap and heap[0][2] != round_no:
-                stale.append(heapq.heappop(heap)[1])
-            g = _gains(ctx, state, np.asarray(stale, dtype=np.int64))
-            evals += len(stale)
-            for neg_g, v in zip((-g).tolist(), stale):
-                heapq.heappush(heap, (neg_g, v, round_no))
+        # entries before p are fresh: in round 0, the whole pool, just scored
+        p, batch, top = (queue.size if round_no == 0 else 0), 1, np.inf
+        while p < queue.size and queue[p] < top:
+            seg = queue[p:p + batch]
+            seg = seg[:np.searchsorted(seg, top)]
+            seg.real = -_gains(ctx, state, seg.imag.astype(np.int64))
+            top = min(top, seg.min())
+            p += seg.size
             batch *= 2
-        neg_g, v, _ = heapq.heappop(heap)
+        evals += p
+        best = int(np.argmin(queue[:p]))
+        v = int(queue.imag[best])
         state.add(v)
         seeds.append(v)
-        gains.append(-neg_g)
+        gains.append(-float(queue.real[best]))
         trace.append((state.moi_value, state.edv_value,
                       _objective_value(ctx, state)))
+        queue = np.delete(queue, best)
+        queue.sort(kind="stable")
     return SelectionResult(seeds, gains, trace, dict(ctx.resolved_params),
                            evals)

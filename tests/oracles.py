@@ -3,18 +3,21 @@
 These deliberately share no code with the production paths: dense matrix
 recurrences instead of sparse products, explicit set arithmetic
 instead of bitsets, direct definition evaluation instead of incremental
-updates. Size guards keep them honest at test scale only.
+updates. Size guards keep them honest at test scale only. The one
+exception is :func:`celf_heap`, a reference for the lazy greedy's queue
+only: it scores candidates through the production objective.
 
 The structural queries at the end read a built ``Hypergraph`` through its
 incidence and adjacency; only the tests need them.
 """
 
+import heapq
 import itertools
 
 import numpy as np
 import scipy.sparse as sp
 
-from hial import DataError
+from hial import DataError, SelectionResult, objective
 
 MAX_DENSE_N = 2000
 MAX_ENUM = 10**6
@@ -247,6 +250,48 @@ def exhaustive_best_subset(value_fn, pool, budget):
         if val > best_val:
             best_set, best_val = combo, val
     return best_set, best_val
+
+
+def celf_heap(ctx):
+    """CELF lazy greedy over a ``heapq`` of ``(-gain, id, round)`` tuples,
+    scored through the context's own states: stale entries are popped in
+    batches of 1, 2, 4, ... (stopping at a fresh top), re-scored in one
+    call and pushed back, until the top is fresh. The production queue
+    must give the same seeds, gain bits, trace and evaluation count."""
+    cfg = ctx.config
+
+    def gains_of(state, cands):
+        return objective.marginal_gain(state, cands, cfg.gamma, ctx.moi_hat,
+                                       ctx.edv_hat)
+
+    state = ctx.fresh_state()
+    seeds, gains, trace = [], [], []
+    pool = ctx.pool
+    heap = list(zip((-gains_of(state, pool)).tolist(), pool.tolist(),
+                    [0] * pool.size))
+    heapq.heapify(heap)
+    evals = pool.size
+    for round_no in range(cfg.budget):
+        batch = 1
+        while heap[0][2] != round_no:
+            stale = []
+            while len(stale) < batch and heap and heap[0][2] != round_no:
+                stale.append(heapq.heappop(heap)[1])
+            g = gains_of(state, np.asarray(stale, dtype=np.int64))
+            evals += len(stale)
+            for neg_g, v in zip((-g).tolist(), stale):
+                heapq.heappush(heap, (neg_g, v, round_no))
+            batch *= 2
+        neg_g, v, _ = heapq.heappop(heap)
+        state.add(v)
+        seeds.append(v)
+        gains.append(-neg_g)
+        trace.append((state.moi_value, state.edv_value,
+                      objective.unified_objective(
+                          state.moi_value, state.edv_value, ctx.moi_hat,
+                          ctx.edv_hat, cfg.gamma)))
+    return SelectionResult(seeds, gains, trace, dict(ctx.resolved_params),
+                           evals)
 
 
 def random_hypergraph(rng, n, m, max_size=5):
