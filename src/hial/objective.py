@@ -8,10 +8,11 @@ activated nodes. The diffusion side scores the expected number of one-hop
 neighbors activated through shared hyperedges. Both are monotone and
 submodular, so the greedy selector keeps an incrementally updated
 :class:`CoverageState` and scores whole batches of candidates without
-mutation: a MoI gain reads one union row, which the state composes once,
-and a diffusion gain reads one entry of a sparse mat-vec, recomputed once
-per seed in one pass over the adjacency entries (O(nnz)). Seeding a node
-adds those scored gains and marks its one row covered.
+mutation: a MoI gain reads one union row, which the state composes once
+per candidate, and a diffusion gain reads one entry of a sparse mat-vec,
+recomputed once per seed in one pass over the candidates' adjacency
+entries. Seeding a node adds those scored gains and marks its one row
+covered.
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ __all__ = [
 
 
 def build_activation_sets(ic: InfluenceColumns, theta: float) -> sp.csr_matrix:
-    """Boolean CSR whose row ``u`` is ``A_u``, the sorted ids ``j`` whose
-    normalized influence from ``u`` strictly exceeds ``theta``: the row ids
-    of column ``u``'s entries of ``ic.columns`` above ``theta``. One mask
-    over the entries keeps them in a boolean CSR, with no division and no
-    per-entry row ids, whose transpose, turned into CSR, lists each row's
-    ids sorted."""
+    """Boolean CSR whose row ``i`` is ``A_u`` for the node ``u`` of column
+    ``i`` of ``ic.columns``, the sorted ids ``j`` whose normalized
+    influence from ``u`` strictly exceeds ``theta``: the row ids of that
+    column's entries above ``theta``. One mask over the entries keeps them
+    in a boolean CSR, with no division and no per-entry row ids, whose
+    transpose, turned into CSR, lists each row's ids sorted."""
     if not theta >= 0:  # rejects nan
         raise ConfigError(f"activation threshold must be >= 0, got {theta}")
     cols = ic.columns
@@ -333,23 +334,28 @@ class CoverageState:
 
     MoI is plain set coverage: seeding ``c`` covers ``U_c``, the union of
     the balls of the nodes in ``A_c``. Neither ``A`` nor the balls change
-    during a selection, so a state composes each ``U_c`` once, as row ``c``
-    of its own ``sets`` (:meth:`FeatureBalls.unions`), beside its own
-    covered set ``covered``. A MoI gain counts one row's uncovered ids;
-    ``sets`` is never written. The EDV gain of ``c`` is ``evasion[c] + β /
-    max(d_c, 1) · reach[c]``, where ``reach`` is the adjacency-count CSR
-    times the evasion probabilities (0 at the seeds), each row summed in
-    stored order: a batch's gains are a gather, and a gain's bits do not
-    depend on its batch. :meth:`add` sums its node's :meth:`gains` into
-    ``moi_value`` and ``edv_value``, marks its row covered and recomputes
-    ``reach``, one pass over the adjacency entries (O(nnz)) per seed.
+    during a selection, so a state composes each candidate's ``U_c`` once,
+    as one row of its own ``sets`` (:meth:`FeatureBalls.unions`), beside
+    its own covered set ``covered``. The candidates are ``pool`` (node
+    ids, each once; row ``i`` of ``acts`` is ``A_{pool[i]}``), or every
+    node when it is None (row ``c`` is ``A_c``); any other id raises
+    ``DataError``. A MoI gain counts one row's uncovered ids; ``sets`` is
+    never written. The EDV gain of ``c`` is ``evasion[c] + β / max(d_c, 1)
+    · reach[c]``, where ``reach`` is the candidates' rows of the
+    adjacency-count CSR times the evasion probabilities (0 at the seeds),
+    each row summed in stored order: a batch's gains are a gather, and a
+    gain's bits depend neither on its batch nor on the pool. :meth:`add`
+    sums its node's :meth:`gains` into ``moi_value`` and ``edv_value``,
+    marks its row covered and recomputes ``reach``, one pass over the
+    candidates' adjacency entries per seed.
 
     Single-writer; :meth:`gains` is a pure read and may be evaluated for
     any number of candidates against a frozen state.
     """
 
     def __init__(self, g: Hypergraph, acts: sp.csr_matrix,
-                 balls: FeatureBalls, beta: float):
+                 balls: FeatureBalls, beta: float,
+                 pool: np.ndarray | None = None):
         _check_beta(beta)
         self.graph = g
         self.beta = beta
@@ -359,8 +365,14 @@ class CoverageState:
         self.in_seed = np.zeros(g.num_nodes, dtype=bool)
         self.evasion = np.ones(g.num_nodes, dtype=np.float64)
         indptr, indices, counts = g.adjacency()  # wrapped with no copy
-        self._counts = sp.csr_matrix((counts, indices, indptr),
-                                     shape=(g.num_nodes, g.num_nodes))
+        self._adjacency = sp.csr_matrix((counts, indices, indptr),
+                                        shape=(g.num_nodes, g.num_nodes))
+        # each node's row of ``sets`` and ``reach``, -1 off the pool
+        self._row, self._counts = np.arange(g.num_nodes), self._adjacency
+        if pool is not None:
+            self._row = np.full(g.num_nodes, -1)
+            self._row[pool] = np.arange(pool.size)
+            self._counts = self._adjacency[pool]  # rows in stored order
         self._reach = self._counts @ self.evasion
         self.moi_value = 0
         self.edv_value = 0.0
@@ -371,34 +383,37 @@ class CoverageState:
         """MoI (int64) and EDV (float64) gains of seeding each node of
         ``cands`` alone, without mutating."""
         cands = _node_ids(cands, self.graph.num_nodes)
+        rows = self._row[cands]
+        if (rows < 0).any():
+            raise DataError(f"node {cands[rows < 0][0]} is not a candidate")
         seeded = self.in_seed[cands]
         if seeded.any():
             raise DataError(f"node {cands[seeded][0]} is already a seed")
-        moi = self.sets.uncovered(self.covered, cands)
+        moi = self.sets.uncovered(self.covered, rows)
         # a candidate's own term moves into the seed count; a node in no
         # hyperedge has no neighbors, so its sum is 0 whatever d is
         d = np.maximum(self.graph.node_degree[cands], 1)
-        return moi, self.evasion[cands] + self.beta / d * self._reach[cands]
+        return moi, self.evasion[cands] + self.beta / d * self._reach[rows]
 
     # -- mutation ---------------------------------------------------------
 
     def add(self, v: int) -> "CoverageState":
         """Seed ``v``: add its :meth:`gains` (which check ``v``) to the
-        values, mark row ``v`` of ``sets`` covered, scale the evasion of
-        v's neighbors (a seed's 0 stays 0), set v's own to 0 and recompute
-        the adjacency mat-vec with the new evasion."""
+        values, mark its row of ``sets`` covered, scale the evasion of v's
+        neighbors (a seed's 0 stays 0), set v's own to 0 and recompute the
+        candidate rows' mat-vec with the new evasion."""
         moi, diffusion = self.gains([v])
-        self.sets.cover(self.covered, v)
+        self.sets.cover(self.covered, int(self._row[v]))
         self.moi_value += int(moi[0])
         self.edv_value += float(diffusion[0])
 
-        c = self._counts
+        c = self._adjacency
         row = slice(c.indptr[v], c.indptr[v + 1])
         self.evasion[c.indices[row]] *= (
             1.0 - self.beta * c.data[row] / self.graph.node_degree[v])
         self.evasion[v] = 0.0
         self.in_seed[v] = True
-        self._reach = c @ self.evasion
+        self._reach = self._counts @ self.evasion
         return self
 
 

@@ -14,14 +14,15 @@ and channel-wise, the influence of node u's initial feature on node j's
 k-step feature is a scalar ``M_k[j, u]`` obeying the same recurrence with
 the identity as input, and the row sums ``s_j = sum_l M_k[j, l]`` obey it
 with the ones vector as input. The features and the ones vector run that
-recurrence as dense arrays. ``M_k`` is kept as one sparse n x n CSR matrix
-``M_k[j, u] / s_j`` next to the row-sum vector, and no dense n x n matrix
-is ever formed. Its first step is the sparse sum ``alpha T + (1 - alpha) I``,
-and each later step is one sparse product whose own entries are scaled and
-shifted on the diagonal in place; the last step is then divided by the row
-sums in place. So beside ``T``, at most three matrices are alive at once:
-``T′`` (``T`` copied only to give its empty rows a diagonal entry), the
-previous step and the product being built.
+recurrence as dense arrays. ``M_k`` is kept as one sparse CSR matrix
+``M_k[j, u] / s_j`` over every row ``j`` and the columns ``u`` asked for
+(all n, or a candidate pool's), next to the row-sum vector, and no dense
+matrix is ever formed. Its first step is the sparse sum ``alpha T +
+(1 - alpha) I``, and each later step is one sparse product whose own
+entries are scaled and shifted on the diagonal in place; the last step is
+then divided by the row sums in place. So beside ``T``, at most three
+matrices are alive at once: ``T′`` (``T`` copied only to give its empty
+rows a diagonal entry), the previous step and the product being built.
 """
 
 from __future__ import annotations
@@ -72,16 +73,17 @@ class PropagationState:
 
 @dataclass(frozen=True)
 class InfluenceColumns:
-    """The row-normalized influence matrix, stored by row.
+    """The row-normalized influence matrix, or some of its columns, stored
+    by row.
 
-    ``columns[j, u]`` is ``M_k[j, u] / row_sums[j]``, the normalized
-    influence of node ``u`` on node ``j`` (column ``u`` holds node ``u``'s
-    influence on every node), and ``row_sums[j]`` is the row normalizer
-    ``sum_l M_k[j, l]``; ``columns * row_sums[:, None]`` gives back
-    ``M_k``.
+    ``columns[j, i]`` is ``M_k[j, u] / row_sums[j]`` for the ``i``-th node
+    ``u`` of the columns asked for (``u = i`` when all n are), the
+    normalized influence of node ``u`` on node ``j``, and ``row_sums[j]``
+    is the row normalizer ``sum_l M_k[j, l]`` over every column; ``columns
+    * row_sums[:, None]`` gives back those columns of ``M_k``.
     """
 
-    columns: sp.csr_matrix          # n x n, entries in (0, 1]
+    columns: sp.csr_matrix          # n x (columns asked for), in (0, 1]
     row_sums: np.ndarray            # float64, length n
 
 
@@ -166,34 +168,40 @@ def propagate(t: TransitionMatrix, x0: np.ndarray, k: int,
     return PropagationState(x0, np.ascontiguousarray(x))
 
 
-def influence_columns(t: TransitionMatrix, k: int,
-                      alpha: float) -> InfluenceColumns:
-    """The row-normalized influence matrix, plus its row sums.
+def influence_columns(t: TransitionMatrix, k: int, alpha: float,
+                      columns: np.ndarray | None = None) -> InfluenceColumns:
+    """The row-normalized influence matrix, plus its row sums; with
+    ``columns`` (node ids, ascending), only those columns of it.
 
     ``M_k`` is the recurrence ``M <- alpha T M + (1 - alpha) I`` run from
-    the identity. Its first step is that formula as one sparse sum, and
-    each later step one product with ``T′``, which is ``T`` with a stored
-    1.0 on the diagonal of each empty row. A product's ``alpha``, its
-    ``(1 - alpha)`` diagonal term and, at the end, the division by the row
-    sums are applied to the step's own entries in place, so the last
+    the identity, or from ``I[:, columns]`` with the diagonal term at
+    ``(columns[i], i)``. Its first step is that formula as one sparse sum,
+    and each later step one product with ``T′``, which is ``T`` with a
+    stored 1.0 on the diagonal of each empty row. A product's ``alpha``,
+    its ``(1 - alpha)`` diagonal term and, at the end, the division by the
+    row sums are applied to the step's own entries in place, so the last
     product is the only allocation of its size: the peak holds ``T′``,
     ``M_{k-1}`` and ``M_k``. Each entry has the bits of the summed
-    recurrence, though a row may list its entries in another order; the
-    next product sums in ``T′``'s row order, so that order reaches no
-    value.
+    recurrence, whatever columns are kept, though a row may list its
+    entries in another order: a product sums each entry over ``T′``'s row
+    in its stored order, and nothing else.
     """
     _check_alpha_k(alpha, k)
     n = t.num_nodes
     if n == 0:
         raise DataError("hypergraph has no nodes")
     row_sums = _recurrence(t, np.ones(n), k, alpha)
-    mat = sp.identity(n, format="csr")
+    at = np.arange(n) if columns is None else np.asarray(columns)
+    mat = sp.csr_matrix((np.ones(at.size), np.arange(at.size),
+                         np.searchsorted(at, np.arange(n + 1))),
+                        shape=(n, at.size))  # I[:, at]
     if k > 0:  # a sum, not setdiag, which would insert all of hoi's diagonal
-        mat = alpha * t.matrix + (1.0 - alpha) * mat
+        mat = alpha * (t.matrix if columns is None else t.matrix[:, at]) \
+            + (1.0 - alpha) * mat
     if k > 1:
         tp, empty = _with_empty_diagonal(t.matrix)
         for _ in range(k - 1):
-            mat = _shift_diagonal(tp @ mat, alpha, empty)
+            mat = _shift_diagonal(tp @ mat, alpha, empty, at)
     mat.eliminate_zeros()
     # a row sum is strictly positive wherever the row has a nonzero entry
     for r0, r1 in _row_blocks(mat.indptr, BLOCK_ENTRIES):
@@ -201,6 +209,25 @@ def influence_columns(t: TransitionMatrix, k: int,
         mat.data[lo:hi] /= np.repeat(row_sums[r0:r1],
                                      np.diff(mat.indptr[r0:r1 + 1]))
     return InfluenceColumns(mat, row_sums)
+
+
+def _self_influence(t: TransitionMatrix, k: int, alpha: float) -> np.ndarray:
+    """The diagonal of ``M_k`` for ``k <= 2``, bit for bit the entries of
+    :func:`influence_columns` before the division: ``M_1``'s own, and at
+    ``k = 2`` one fold of ``T′``'s entries in stored order against
+    ``M_1``'s transposed ones, each row's terms summed as the product sums
+    them, then shifted as :func:`_shift_diagonal` shifts."""
+    n = t.num_nodes
+    m1 = alpha * t.matrix + (1.0 - alpha) * sp.identity(n, format="csr")
+    if k < 2:
+        return m1.diagonal() if k else np.ones(n)
+    m1.sort_indices()  # each lookup a binary search
+    tp, empty = _with_empty_diagonal(t.matrix)
+    rows = np.repeat(np.arange(n), np.diff(tp.indptr))
+    terms = tp.data * np.asarray(m1[tp.indices, rows]).ravel()
+    diag = np.bincount(rows, terms, minlength=n) * alpha + (1.0 - alpha)
+    diag[empty] = 1.0 - alpha
+    return diag
 
 
 def _row_blocks(indptr: np.ndarray, budget: int):
@@ -215,38 +242,56 @@ def _row_blocks(indptr: np.ndarray, budget: int):
         r0 = r1
 
 
+def _insert(m: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray,
+            vals) -> sp.csr_matrix:
+    """``m`` with an entry ``vals`` at each ``(rows[i], cols[i])``, first in
+    its row (``rows`` ascending, each once, none stored there yet); every
+    other entry keeps its place in its row."""
+    if rows.size == 0:
+        return m
+    at = m.indptr[rows]
+    indptr = m.indptr + np.searchsorted(rows, np.arange(m.shape[0] + 1))
+    return sp.csr_matrix((np.insert(m.data, at, vals),
+                          np.insert(m.indices, at, cols.astype(m.indices.dtype)),
+                          indptr.astype(m.indptr.dtype)), shape=m.shape)
+
+
 def _with_empty_diagonal(m: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
     """``T′``: ``m`` with a stored 1.0 on the diagonal of each empty row,
     so that a product's row there copies the right factor's row, and a
     mask of those rows. Every other row keeps its entries in their order,
     which fixes the order of each product sum and so its bits."""
-    counts = np.diff(m.indptr)
-    empty = counts == 0
+    empty = np.diff(m.indptr) == 0
     rows = np.flatnonzero(empty)
-    if rows.size == 0:
-        return m, empty
-    at = m.indptr[rows]
-    indptr = np.concatenate(([0], np.cumsum(np.maximum(counts, 1))))
-    tp = sp.csr_matrix((np.insert(m.data, at, 1.0),
-                        np.insert(m.indices, at, rows.astype(m.indices.dtype)),
-                        indptr.astype(m.indptr.dtype)), shape=m.shape)
-    return tp, empty
+    return _insert(m, rows, rows, 1.0), empty
 
 
-def _shift_diagonal(p: sp.csr_matrix, alpha: float,
-                    empty: np.ndarray) -> sp.csr_matrix:
-    """``alpha p + (1 - alpha) I`` for a step ``p = T′ M``, whose rows that
-    are empty in ``T`` (``empty``) copy ``M``'s and get exactly ``1 - alpha``,
-    the recurrence's value there. Scaled and shifted in ``p``'s own data;
-    scipy inserts (and so copies ``p``) only where a row stores no diagonal
-    entry: one that underflowed to zero, or each of hoi's at ``alpha = 0``.
-    At ``alpha = 1`` there is no diagonal term, so nothing is written: the
-    rows of ``M_1`` on ``T``'s empty rows are empty, and ``setdiag`` would
-    insert explicit zeros there at every step."""
-    p.data *= alpha
-    if alpha < 1.0:
+def _shift_diagonal(p: sp.csr_matrix, alpha: float, empty: np.ndarray,
+                    at: np.ndarray) -> sp.csr_matrix:
+    """``alpha p + (1 - alpha) I[:, at]`` for a step ``p = T′ M``, whose
+    rows that are empty in ``T`` (``empty``) copy ``M``'s and get exactly
+    ``1 - alpha`` at their diagonal, the recurrence's value there. Scaled
+    and shifted in ``p``'s own data; an entry ``(at[i], i)`` that ``p``
+    does not store (a sum that underflowed to zero, or each of hoi's at
+    ``alpha = 0``) is inserted, which copies ``p``. Over every column,
+    scipy's own diagonal does that with the fewest temporaries. At ``alpha
+    = 1`` there is no diagonal term, so nothing is written: the rows of
+    ``M_1`` on ``T``'s empty rows are empty, and a write would store zeros
+    there."""
+    if alpha == 1.0:
+        return p
+    if at.size == p.shape[0]:
+        p.data *= alpha
         diag = p.diagonal()
         diag += 1.0 - alpha
         diag[empty] = 1.0 - alpha
         p.setdiag(diag)
-    return p
+        return p
+    i = np.arange(at.size)
+    diag = np.asarray(p[at, i]).ravel()
+    held = diag != 0.0  # a product stores no zero; alpha p might
+    p.data *= alpha
+    diag = diag * alpha + (1.0 - alpha)
+    diag[empty[at]] = 1.0 - alpha
+    p[at[held], i[held]] = diag[held]
+    return _insert(p, at[~held], i[~held], diag[~held])

@@ -113,27 +113,29 @@ class SelectionResult:
 @dataclass
 class SelectionContext:
     """Frozen selection inputs shared by the naive and lazy paths: the
-    activation sets and the balls, from which each fresh state composes
-    its own ``U_c`` rows, and the normalizers."""
+    pool's activation sets and the balls, from which each fresh state
+    composes its own ``U_c`` rows, and the normalizers."""
 
     graph: Hypergraph
     config: SelectionConfig  # with theta/radius resolved to numbers
     pool: np.ndarray
-    acts: sp.csr_matrix  # activation sets, every row outside the pool empty
+    acts: sp.csr_matrix  # row i: the activation set of node pool[i]
     balls: objective.FeatureBalls
     moi_hat: float
     edv_hat: float
     resolved_params: dict = field(default_factory=dict)
 
     def fresh_state(self) -> objective.CoverageState:
+        pool = self.pool if self.pool.size < self.graph.num_nodes else None
         return objective.CoverageState(self.graph, self.acts, self.balls,
-                                       self.config.beta)
+                                       self.config.beta, pool)
 
 
 def _resolve_theta(cfg: SelectionConfig, ic: propagation.InfluenceColumns,
                    pool: np.ndarray) -> float:
     """``theta`` as given, or the ``linear`` quantile of the normalized
-    influence entries in the pool's columns, bit for bit ``np.quantile``'s.
+    influence entries in the pool's columns (``pool``, ids into
+    ``ic.columns``), bit for bit ``np.quantile``'s.
 
     The entries must be positive and finite, so that their float64 bits,
     read as int64, sort like their values. Pass 1 counts the entries by
@@ -221,33 +223,59 @@ def _resolve_radius(cfg: SelectionConfig, feats: np.ndarray) -> float:
 def prepare(g: Hypergraph, features: np.ndarray,
             cfg: SelectionConfig) -> SelectionContext:
     """Build the propagation, influence, and coverage structures for a
-    selection run, resolving any 'auto' parameters. MoI(V) is the size of
-    one union, over σ_all, the nodes that some node activates whatever the
-    pool; the states compose the pool's ``U_c``."""
+    selection run, resolving any 'auto' parameters. θ and the activation
+    sets come from the pool's influence columns, which a strict pool at
+    ``k <= 2`` multiplies out alone. MoI(V) is the size of one union, over
+    σ_all, the nodes that some node activates whatever the pool: n when
+    σ_all holds every node, which such a pool certifies when each node's
+    own entry, the diagonal, exceeds θ; else σ_all is read off every
+    column's activation sets, the other columns' multiplied out too. The
+    states compose the pool's ``U_c``."""
     pool = cfg.validate(g.num_nodes)
+    n = g.num_nodes
     t = propagation.build_transition(g, cfg.backend)
     ps = propagation.propagate(t, features, cfg.k, cfg.alpha)
     if cfg.radius != np.inf or not np.isfinite(ps.propagated_features).all():
         objective.squared_norms(ps.propagated_features)  # or DataError
-    ic = propagation.influence_columns(t, cfg.k, cfg.alpha)
-    theta = _resolve_theta(cfg, ic, pool)
+    cut = pool.size < n and cfg.k <= 2
+    ic = propagation.influence_columns(t, cfg.k, cfg.alpha,
+                                       pool if cut else None)
+    in_ic = np.arange(pool.size) if cut else pool  # the pool's columns
+    theta = _resolve_theta(cfg, ic, in_ic)
     radius = _resolve_radius(cfg, ps.propagated_features)
     resolved = replace(cfg, theta=theta, radius=radius)
     acts = objective.build_activation_sets(ic, theta)
+    sigma_all = np.bincount(acts.indices, minlength=n) > 0
+    if cut:
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0: no
+            own = propagation._self_influence(t, cfg.k, cfg.alpha) \
+                / ic.row_sums
+        if (own > theta).all():  # each node activates itself
+            sigma_all[:] = True
+        else:  # the other columns' sets
+            rest = np.setdiff1d(np.arange(n), pool)
+            rest = objective.build_activation_sets(
+                propagation.influence_columns(t, cfg.k, cfg.alpha, rest),
+                theta)
+            sigma_all[rest.indices] = True
+    elif pool.size < n:
+        acts = acts[pool]
+    if not sigma_all.any():  # an auto θ is then the pool's top entry
+        ties = np.count_nonzero(ic.columns[:, in_ic].data == theta)
+        raise ConfigError(
+            "whole-graph coverage is empty: theta excludes every node; " + (
+                "lower theta" if cfg.theta != AUTO else
+                f"auto theta {theta!r} is the largest influence entry in the "
+                f"pool's columns, held by {ties} entries, and a node "
+                "activates only strictly above it: a numeric --theta below "
+                "it activates nodes"))
     del ic  # the ball build's transient need not sit on top of the matrix
     balls = objective.build_feature_balls(ps, radius)
-    sigma_all = balls.unions(sp.csr_matrix(
-        np.bincount(acts.indices, minlength=g.num_nodes) > 0))
-    moi_hat = int(sigma_all.uncovered(sigma_all.empty(), np.array([0]))[0])
-    if pool.size < g.num_nodes:  # then only the pool's unions are composed
-        outside = np.ones(g.num_nodes, dtype=bool)
-        outside[pool] = False
-        acts.data[np.repeat(outside, np.diff(acts.indptr))] = False
-        acts.eliminate_zeros()
-    if moi_hat == 0:
-        raise ConfigError("whole-graph coverage is empty: theta excludes "
-                          "every node; lower theta or its quantile")
-    edv_hat = float(g.num_nodes)  # all seeded: no neighbor left to reach
+    moi_hat = n
+    if not sigma_all.all():
+        union = balls.unions(sp.csr_matrix(sigma_all))
+        moi_hat = int(union.uncovered(union.empty(), np.array([0]))[0])
+    edv_hat = float(n)  # all seeded: no neighbor left to reach
     params = {
         "budget": cfg.budget, "k": cfg.k, "alpha": cfg.alpha,
         "theta": theta, "radius": radius, "beta": cfg.beta,

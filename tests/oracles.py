@@ -85,15 +85,18 @@ def summed_influence_columns(t_csr, k, alpha):
     return m, s
 
 
-def csc_theta_and_activation_sets(t_csr, k, alpha, pool, quantile):
+def csc_theta_and_activation_sets(t_csr, k, alpha, pool, quantile,
+                                  theta=None):
     """Auto θ and the activation sets, bit for bit, the column-stored way:
     the sparse recurrence ``M <- a T M + (1-a) I`` from the identity and
     ``s <- a T s + (1-a) 1`` from the ones (the same products, so the same
     bits; a dense product would round differently), ``M`` turned into CSC
     with sorted row ids and each entry divided by its row's sum. θ is the
-    ``quantile`` of the entries in the pool's columns; set ``u`` lists the
-    row ids of column ``u``'s entries above θ for ``u`` in the pool and is
-    empty outside it. Returns θ and the sets' ``indptr`` and ``indices``."""
+    given ``theta``, or else the ``quantile`` of the entries in the pool's
+    columns; set ``i`` lists the row ids of column ``pool[i]``'s entries
+    above θ, one set per pool node in the pool's order. Returns θ and the
+    sets' ``indptr`` and ``indices``, or three Nones for an auto θ when the
+    pool's columns hold no entry."""
     n = t_csr.shape[0]
     eye, ones = sp.identity(n, format="csr"), np.ones(n)
     m, s = eye, ones
@@ -113,16 +116,31 @@ def csc_theta_and_activation_sets(t_csr, k, alpha, pool, quantile):
         lo, hi = cols.indptr[u], cols.indptr[u + 1]
         return cols.indices[lo:hi], cols.data[lo:hi]
 
-    theta = float(np.quantile(
-        np.concatenate([column(u)[1] for u in pool]), quantile))
-    pool = set(int(u) for u in pool)
+    if theta is None:
+        entries = np.concatenate([column(u)[1] for u in pool])
+        if entries.size == 0:  # no quantile to take
+            return None, None, None
+        theta = float(np.quantile(entries, quantile))
     indptr, indices = [0], []
-    for u in range(n):
-        if u in pool:
-            rows, vals = column(u)
-            indices.extend(rows[vals > theta].tolist())
+    for u in pool:
+        rows, vals = column(u)
+        indices.extend(rows[vals > theta].tolist())
         indptr.append(len(indices))
     return theta, np.array(indptr), np.array(indices, dtype=np.int64)
+
+
+def ball_union(balls, ids):
+    """Size of the union of the balls at ``ids``, by set union."""
+    return len(set().union(*(balls[u] for u in set(ids))))
+
+
+def sorted_bits(m):
+    """A CSR matrix's ``indptr``, and its column ids and float64 bits with
+    each row sorted by column: equal for two matrices that store the same
+    entries, bit for bit, in any order within a row."""
+    m = m.copy()
+    m.sort_indices()
+    return m.indptr, m.indices, m.data.view(np.uint64)
 
 
 def sampled_radius(feats, seed, quantile, max_pairs=20000):

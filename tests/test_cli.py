@@ -323,6 +323,18 @@ def test_exit_code_config_error(capsys):
     assert code == cli.EXIT_CONFIG
     code, _, err = run(toy_args(["--gamma", "3.0"]), capsys)
     assert code == cli.EXIT_CONFIG
+    # every normalized influence entry is 1.0, so auto theta is 1.0 and no
+    # entry lies strictly above it: the error names the tie and the way out
+    for flags in (["--k", "0"], ["--alpha", "0"]):
+        code, _, err = run(toy_args(["--budget", "3", *flags]), capsys)
+        assert code == cli.EXIT_CONFIG
+        assert ("theta excludes every node; auto theta 1.0 is the largest "
+                "influence entry in the pool's columns, held by 12 entries, "
+                "and a node activates only strictly above it: a numeric "
+                "--theta below it activates nodes") in err
+        code, _, err = run(toy_args(["--budget", "3", "--theta", "0.5",
+                                     *flags]), capsys)
+        assert code == cli.EXIT_OK, err
 
 
 def test_error_printed_once():

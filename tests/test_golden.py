@@ -31,8 +31,12 @@ CASES = {
     "hgnn-k3": ["--backend", "hgnn", "--k", "3"],
     "train-split": ["--splits", str(SAMPLE / "toy.splits.json"),
                     "--train-split"],
+    # a strict pool: the train split holds nodes 0-5 of 12
+    "half-split": ["--splits", str(GOLDEN / "toy-half.splits.json"),
+                   "--train-split", "--budget", "4"],
 }
-STATS_CASES = ("plain", "radius-0", "radius-inf", "train-split")
+STATS_CASES = ("plain", "radius-0", "radius-inf", "train-split",
+               "half-split")
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
 
 

@@ -877,3 +877,31 @@ def test_monotone_submodular_spot_check(seed):
         assert msv - ms >= mtv - mt - 1e-9
         assert esv - es >= etv - et - 1e-9
         assert fsv - fs >= ftv - ft - 1e-9
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.8, np.inf])
+@pytest.mark.parametrize("seed", range(4))
+def test_pool_state_matches_full_state(seed, radius):
+    """A state over a pool's activation rows gives each pool id the gain
+    bits of a state over every node's rows, before and after each seed,
+    and the same values; an id off the pool raises ``DataError``."""
+    rng, g, edges, n, ps, ic, m_k = make_instance(seed)
+    acts = build_activation_sets(ic, 0.05)
+    balls = build_feature_balls(ps, radius)
+    pool = np.sort(rng.choice(n, n // 2, replace=False))
+    outside = np.setdiff1d(np.arange(n), pool)
+    full = CoverageState(g, acts, balls, 0.3)
+    part = CoverageState(g, acts[pool], balls, 0.3, pool)
+    for v in rng.permutation(pool)[:3]:
+        left = pool[~full.in_seed[pool]]
+        for got, want in zip(part.gains(left), full.gains(left)):
+            assert got.tobytes() == want.tobytes()
+        for u in (outside[0], outside[-1]):
+            with pytest.raises(DataError, match=f"node {u} is not a candidate"):
+                part.gains([left[0], u])
+            with pytest.raises(DataError, match="not a candidate"):
+                part.add(int(u))
+        full.add(int(v))
+        part.add(int(v))
+        assert (part.moi_value, part.edv_value) == (full.moi_value,
+                                                    full.edv_value)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hial import (
     ConfigError,
@@ -265,6 +266,83 @@ def test_influence_columns_bits_match_summed_recurrence(
                                       want.data.view(np.uint64))
         np.testing.assert_array_equal(ic.row_sums.view(np.uint64),
                                       sums.view(np.uint64))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170], ids=["plain", "underflow"])
+@pytest.mark.parametrize("isolated", [False, True],
+                         ids=["connected", "isolated"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("backend", ["hoi", "hgnn"])
+def test_pool_columns_bits_match_full_columns(backend, k, isolated, scale):
+    """``influence_columns`` over a pool's columns stores, bit for bit, the
+    full matrix's ``[:, pool]`` and its row sums, at each α, for pools of 1,
+    n/5 and n − 1 nodes (with ``isolated``, nodes in no hyperedge or alone
+    in one, whose ``T`` rows are empty, among them)."""
+    rng = np.random.default_rng(10 + k)
+    g = random_graph(rng, 40, 25, 5, isolated)
+    t = TransitionMatrix(build_transition(g, backend).matrix * scale)
+    n = t.num_nodes
+    for alpha in (0.0, 0.5, 0.9, 1.0):
+        full = influence_columns(t, k, alpha)
+        for size in (1, n // 5, n - 1):
+            pool = np.sort(rng.choice(n, size, replace=False))
+            if isolated and size > 1:
+                pool = np.union1d(pool[1:], [n - 1])  # one in no hyperedge
+            ic = influence_columns(t, k, alpha, pool)
+            assert ic.columns.shape == (n, pool.size)
+            for got, want in zip(oracles.sorted_bits(ic.columns),
+                                 oracles.sorted_bits(full.columns[:, pool])):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(ic.row_sums.view(np.uint64),
+                                          full.row_sums.view(np.uint64))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170], ids=["plain", "underflow"])
+@pytest.mark.parametrize("isolated", [False, True],
+                         ids=["connected", "isolated"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("backend", ["hoi", "hgnn"])
+def test_self_influence_bits_match_diagonal(backend, k, isolated, scale):
+    """The diagonal fold over the row sums is the full matrix's diagonal,
+    bit for bit, at each α; where a row sum is 0 (``T``'s empty rows at
+    α = 1, or an underflow) the matrix stores nothing and the quotient is
+    NaN, which exceeds no θ."""
+    rng = np.random.default_rng(20 + k)
+    g = random_graph(rng, 40, 25, 5, isolated)
+    t = TransitionMatrix(build_transition(g, backend).matrix * scale)
+    for alpha in (0.0, 0.5, 0.9, 1.0):
+        ic = influence_columns(t, k, alpha)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            own = propagation._self_influence(t, k, alpha) / ic.row_sums
+        diag = ic.columns.diagonal()
+        live = ic.row_sums > 0
+        np.testing.assert_array_equal(own[live].view(np.uint64),
+                                      diag[live].view(np.uint64))
+        assert np.isnan(own[~live]).all() and not diag[~live].any()
+        assert live.all() or (alpha == 1.0 and isolated) or scale != 1.0
+
+
+@pytest.mark.parametrize("isolated", [False, True],
+                         ids=["connected", "isolated"])
+@pytest.mark.parametrize("seed", range(3))
+def test_symmetric_normalize_matches_diagonal_products(seed, isolated):
+    """The hoi transition has the ``indptr``, the entry order and the data
+    bits of ``diag(s) L diag(s)`` as two diagonal sparse products. Every
+    later product sums in that entry order, so a rewrite of the scaling
+    must keep it along with the bits."""
+    g = random_graph(np.random.default_rng(seed), 40, 25, 5, isolated)
+    h = g.incidence
+    raw = (h @ sp.diags((g.edge_degree - 1).astype(np.float64)) @ h.T).tocsr()
+    raw.setdiag(0)
+    raw.eliminate_zeros()
+    s = propagation._inv_sqrt(np.asarray(raw.sum(axis=1)).ravel())
+    want = (sp.diags(s) @ raw @ sp.diags(s)).tocsr()
+    want.eliminate_zeros()
+    got = build_hoi_transition(g).matrix
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data.view(np.uint64),
+                                  want.data.view(np.uint64))
 
 
 def traced_peak_and_output(backend, k, n, m, max_size):

@@ -114,7 +114,7 @@ def test_restricted_pool_normalizer_covers_all_nodes(seed):
 def test_theta_and_activation_sets_match_csc_oracle(seed, pool, backend):
     """Auto θ and the activation sets of ``prepare`` equal, bit for bit,
     those of the column-stored pass: CSC with sorted ids, one mask per
-    column, and the pool's rows alone non-empty."""
+    column, and one row per pool node."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(30, 61))
     g = build(oracles.random_hypergraph(rng, n, n), num_nodes=n)
@@ -128,6 +128,78 @@ def test_theta_and_activation_sets_match_csc_oracle(seed, pool, backend):
     assert cfg.theta == theta
     np.testing.assert_array_equal(ctx.acts.indptr, indptr)
     np.testing.assert_array_equal(ctx.acts.indices, indices)
+
+
+@pytest.mark.parametrize("theta", ["auto", 0.1])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("backend", ["hoi", "hgnn"])
+def test_pool_path_matches_full_matrix(backend, k, alpha, theta):
+    """For pools of 1, n/5 and n − 1 nodes, θ (its ``float.hex``) and the
+    activation sets equal the column-stored pass over the full matrix, and
+    MoI(V) the brute-force union of the balls over σ_all, the sets of every
+    column. Where no entry exceeds θ (auto θ at k = 0 or α = 0, whose
+    entries are all 1.0) or the pool's columns hold none (one isolated node
+    at α = 1), ``prepare`` raises ``ConfigError`` instead. One node sits
+    alone in a hyperedge and two in none: empty ``T`` rows."""
+    rng = np.random.default_rng(k + 10 * round(alpha * 10))
+    g = build(oracles.random_hypergraph(rng, 30, 30) + [[30]], num_nodes=33)
+    n = g.num_nodes
+    x = rng.normal(size=(n, 3))
+    t = build_transition(g, backend)
+    balls = oracles.feature_balls(
+        propagate(t, x, k, alpha).propagated_features, 0.5)
+    for size in (1, n // 5, n - 1):
+        pool = np.sort(rng.choice(n, size, replace=False))
+        cfg = SelectionConfig(budget=1, k=k, alpha=alpha, theta=theta,
+                              radius=0.5, backend=backend,
+                              candidate_pool=tuple(pool.tolist()),
+                              theta_quantile=0.5)
+        want, indptr, indices = oracles.csc_theta_and_activation_sets(
+            t.matrix, k, alpha, pool, 0.5,
+            theta=None if theta == "auto" else theta)
+        if want is None:
+            with pytest.raises(ConfigError, match="no nonzero influence"):
+                prepare(g, x, cfg)
+            continue
+        every = oracles.csc_theta_and_activation_sets(
+            t.matrix, k, alpha, range(n), 0.5, theta=want)[2]
+        if every.size == 0:
+            match = ("lower theta" if theta != "auto" else
+                     rf"auto theta {want!r} is the largest .* held by \d+")
+            with pytest.raises(ConfigError, match=match):
+                prepare(g, x, cfg)
+            continue
+        ctx = prepare(g, x, cfg)
+        assert ctx.config.theta.hex() == want.hex()
+        np.testing.assert_array_equal(ctx.acts.indptr, indptr)
+        np.testing.assert_array_equal(ctx.acts.indices, indices)
+        assert ctx.moi_hat == oracles.ball_union(balls, every)
+
+
+@pytest.mark.parametrize("backend", ["hoi", "hgnn"])
+@pytest.mark.parametrize("theta, certified", [(0.05, True), (0.4, False)])
+def test_strict_pool_certificate_or_full_matrix(backend, theta, certified,
+                                                monkeypatch):
+    """A strict pool at k <= 2 multiplies out its own columns only. When
+    every node's own normalized influence exceeds θ, that certifies σ_all =
+    V and MoI(V) = n; else the other columns are multiplied out too, for
+    σ_all. MoI(V) equals the brute-force count on both paths."""
+    calls = []
+    real = propagation.influence_columns
+
+    def counted(t, k, alpha, columns=None):
+        calls.append(None if columns is None else columns.size)
+        return real(t, k, alpha, columns)
+
+    monkeypatch.setattr(propagation, "influence_columns", counted)
+    g, x, edges, n, ctx = make_context(3, backend=backend, theta=theta,
+                                       candidate_pool=(0, 2, 5))
+    assert calls == ([3] if certified else [3, n - 3])
+    m_k, oballs = oracle_inputs(g, x, ctx)
+    assert ctx.moi_hat == oracles.moi_value(m_k, theta, set(range(n)),
+                                            oballs)
+    assert ctx.moi_hat == n or not certified
 
 
 def _entries(rng, kind, size):
@@ -340,9 +412,10 @@ def test_lazy_matches_heap_oracle(seed, radius):
         theta=0.05, radius=radius, beta=0.3,
         gamma=float(rng.choice([0.0, 0.5, 1.0])), candidate_pool=pool)
     ctx = prepare(build(edges, num_nodes=n), x, cfg)
-    first = objective.marginal_gain(ctx.fresh_state(), np.arange(n),
-                                    cfg.gamma, ctx.moi_hat, ctx.edv_hat)
-    assert first[pairs].tobytes() == first[pairs + half].tobytes()
+    first = objective.marginal_gain(
+        ctx.fresh_state(), np.concatenate([pairs, pairs + half]), cfg.gamma,
+        ctx.moi_hat, ctx.edv_hat)
+    assert first[:pairs.size].tobytes() == first[pairs.size:].tobytes()
 
     def bits(res):
         return (res.seeds, [v.hex() for v in res.gains],
@@ -413,29 +486,31 @@ def test_restricted_candidate_pool():
 
 @pytest.mark.parametrize("radius", [0.0, 0.8, math.inf])
 def test_restricted_pool_composes_pool_rows_only(radius):
-    """The context's activation rows and a state's composed unions are
-    empty outside the candidate pool and equal a full-pool context's on it
-    (the rows id for id, in sorted order), in every coverage form; lazy and
-    naive still agree."""
+    """The context holds one activation row per pool node and a state one
+    composed union per pool node, each equal to a full-pool context's row
+    of that node (the rows id for id, in sorted order), in every coverage
+    form; a node outside the pool has no row, and a state rejects it. Lazy
+    and naive still agree."""
     pool = [0, 2, 5]
     g, x, edges, n, ctx = make_context(3, radius=radius,
                                        candidate_pool=tuple(pool))
     full = make_context(3, radius=radius)[-1]
     outside = np.setdiff1d(np.arange(n), pool)
-    for u in range(n):
-        row = ctx.acts.indices[ctx.acts.indptr[u]:ctx.acts.indptr[u + 1]]
-        if u in pool:
-            want = full.acts.indices[full.acts.indptr[u]:
-                                     full.acts.indptr[u + 1]]
-            assert want.size and (np.diff(want) > 0).all()
-            assert row.tolist() == want.tolist()
-        else:
-            assert row.size == 0
-    sizes, expect = (
-        sets.uncovered(sets.empty(), np.arange(n))
-        for sets in (ctx.fresh_state().sets, full.fresh_state().sets))
-    assert expect[outside].any() and not sizes[outside].any()
-    assert sizes[pool].tolist() == expect[pool].tolist()
+    assert ctx.acts.shape == (len(pool), n)
+    for i, u in enumerate(pool):
+        row = ctx.acts.indices[ctx.acts.indptr[i]:ctx.acts.indptr[i + 1]]
+        want = full.acts.indices[full.acts.indptr[u]:full.acts.indptr[u + 1]]
+        assert want.size and (np.diff(want) > 0).all()
+        assert row.tolist() == want.tolist()
+    state = ctx.fresh_state()
+    sizes = state.sets.uncovered(state.sets.empty(), np.arange(len(pool)))
+    expect = full.fresh_state().sets.uncovered(full.balls.empty(),
+                                               np.arange(n))
+    assert expect[outside].any()
+    assert sizes.tolist() == expect[pool].tolist()
+    for v in (outside[0], outside[-1]):
+        with pytest.raises(DataError, match=f"node {v} is not a candidate"):
+            state.gains([pool[0], v])
     naive, lazy = select_naive(ctx), select_lazy(ctx)
     assert (lazy.seeds, lazy.gains, lazy.trace) == (
         naive.seeds, naive.gains, naive.trace)
@@ -497,10 +572,12 @@ def test_default_config_scale_lazy_equals_naive():
 @pytest.mark.parametrize("radius", [0.0, 0.8, math.inf])
 def test_prepare_composes_one_row_and_states_own_rows(radius, pool,
                                                        monkeypatch):
-    """``prepare`` makes one :meth:`FeatureBalls.unions` call, of one row,
-    whose count is MoI(V); each fresh state makes one call of n rows, row c
-    its ``U_c``, and owns its rows and its covered set, in the CSR
-    (radius 0), bitset (0.8) and live-mask (inf) forms."""
+    """``prepare`` makes at most one :meth:`FeatureBalls.unions` call, of
+    one row, whose count is MoI(V): none at θ = 0.05, where σ_all holds
+    every node and MoI(V) = n, and one at θ = 0.4, where it holds 7 of 13.
+    Each fresh state makes one call of one row per pool node, row i the
+    ``U_c`` of ``pool[i]``, and owns its rows and its covered set, in the
+    CSR (radius 0), bitset (0.8) and live-mask (inf) forms."""
     calls, outs = [], []
     unions = objective.FeatureBalls.unions
 
@@ -510,25 +587,33 @@ def test_prepare_composes_one_row_and_states_own_rows(radius, pool,
         return outs[-1]
 
     monkeypatch.setattr(objective.FeatureBalls, "unions", counted)
-    g, x, edges, n, ctx = make_context(3, radius=radius, candidate_pool=pool)
-    assert calls == [(1, n)]
-    assert outs[0].uncovered(outs[0].empty(), np.array([0]))[0] \
-        == ctx.moi_hat > 0
-    first, second = ctx.fresh_state(), ctx.fresh_state()
-    assert calls == [(1, n), (n, n), (n, n)]
-    assert outs[1] is first.sets and outs[2] is second.sets
-    assert first.sets is not second.sets
-    assert (ctx.balls._csr is not None) == (radius == 0.0)
-    assert (ctx.balls._live is not None) == (radius == math.inf)
-    m_k, oballs = oracle_inputs(g, x, ctx)
-    in_pool = set(ctx.pool.tolist())
-    assert first.sets.uncovered(first.sets.empty(), np.arange(n)).tolist() \
-        == [oracles.moi_value(m_k, ctx.config.theta, {c}, oballs)
-            if c in in_pool else 0 for c in range(n)]
-    moi, _ = first.gains(ctx.pool)
-    first.add(int(ctx.pool[np.argmax(moi)]))
-    assert first.covered is not second.covered
-    assert first.covered.any() and not second.covered.any()
-    assert first.moi_value == moi.max() > 0 and second.moi_value == 0
-    with pytest.raises(DataError, match="out of range"):
-        first.gains([n])  # no row past the nodes
+    for theta in (0.05, 0.4):
+        del calls[:], outs[:]
+        g, x, edges, n, ctx = make_context(3, radius=radius, theta=theta,
+                                           candidate_pool=pool)
+        m_k, oballs = oracle_inputs(g, x, ctx)
+        assert ctx.moi_hat == oracles.moi_value(m_k, theta, set(range(n)),
+                                                oballs)
+        if theta == 0.05:
+            assert calls == [] and ctx.moi_hat == n
+        else:
+            assert calls == [(1, n)]
+            assert outs[0].uncovered(outs[0].empty(), np.array([0]))[0] \
+                == ctx.moi_hat == (n if radius else 7)
+        rows = ctx.pool.size
+        first, second = ctx.fresh_state(), ctx.fresh_state()
+        assert calls[-2:] == [(rows, n), (rows, n)]
+        assert outs[-2] is first.sets and outs[-1] is second.sets
+        assert first.sets is not second.sets
+        assert (ctx.balls._csr is not None) == (radius == 0.0)
+        assert (ctx.balls._live is not None) == (radius == math.inf)
+        assert first.sets.uncovered(first.sets.empty(),
+                                    np.arange(rows)).tolist() \
+            == [oracles.moi_value(m_k, theta, {c}, oballs) for c in ctx.pool]
+        moi, _ = first.gains(ctx.pool)
+        first.add(int(ctx.pool[np.argmax(moi)]))
+        assert first.covered is not second.covered
+        assert first.covered.any() and not second.covered.any()
+        assert first.moi_value == moi.max() > 0 and second.moi_value == 0
+        with pytest.raises(DataError, match="out of range"):
+            first.gains([n])  # no row past the nodes
