@@ -15,14 +15,8 @@ k-step feature is a scalar ``M_k[j, u]`` obeying the same recurrence with
 the identity as input, and the row sums ``s_j = sum_l M_k[j, l]`` obey it
 with the ones vector as input. The features and the ones vector run that
 recurrence as dense arrays. ``M_k`` is kept as one sparse CSR matrix
-``M_k[j, u] / s_j`` over every row ``j`` and the columns ``u`` asked for
-(all n, or a candidate pool's), next to the row-sum vector, and no dense
-matrix is ever formed. Its first step is the sparse sum ``alpha T +
-(1 - alpha) I``, and each later step is one sparse product whose own
-entries are scaled and shifted on the diagonal in place; the last step is
-then divided by the row sums in place. So beside ``T``, at most three
-matrices are alive at once: ``T′`` (``T`` copied only to give its empty
-rows a diagonal entry), the previous step and the product being built.
+``M_k[j, u] / s_j`` over every row ``j`` and the columns ``u`` asked for,
+next to the row sums; no dense matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -73,15 +67,10 @@ class PropagationState:
 
 @dataclass(frozen=True)
 class InfluenceColumns:
-    """The row-normalized influence matrix, or some of its columns, stored
-    by row.
-
+    """Columns of the row-normalized influence matrix, stored by row:
     ``columns[j, i]`` is ``M_k[j, u] / row_sums[j]`` for the ``i``-th node
-    ``u`` of the columns asked for (``u = i`` when all n are), the
-    normalized influence of node ``u`` on node ``j``, and ``row_sums[j]``
-    is the row normalizer ``sum_l M_k[j, l]`` over every column; ``columns
-    * row_sums[:, None]`` gives back those columns of ``M_k``.
-    """
+    ``u`` asked for (``u = i`` when all n are), and ``row_sums[j]`` is
+    ``sum_l M_k[j, l]`` over every column."""
 
     columns: sp.csr_matrix          # n x (columns asked for), in (0, 1]
     row_sums: np.ndarray            # float64, length n
@@ -170,38 +159,19 @@ def propagate(t: TransitionMatrix, x0: np.ndarray, k: int,
 
 def influence_columns(t: TransitionMatrix, k: int, alpha: float,
                       columns: np.ndarray | None = None) -> InfluenceColumns:
-    """The row-normalized influence matrix, plus its row sums; with
-    ``columns`` (node ids, ascending), only those columns of it.
-
-    ``M_k`` is the recurrence ``M <- alpha T M + (1 - alpha) I`` run from
-    the identity, or from ``I[:, columns]`` with the diagonal term at
-    ``(columns[i], i)``. Its first step is that formula as one sparse sum,
-    and each later step one product with ``T′``, which is ``T`` with a
-    stored 1.0 on the diagonal of each empty row. A product's ``alpha``,
-    its ``(1 - alpha)`` diagonal term and, at the end, the division by the
-    row sums are applied to the step's own entries in place, so the last
-    product is the only allocation of its size: the peak holds ``T′``,
-    ``M_{k-1}`` and ``M_k``. Each entry has the bits of the summed
-    recurrence, whatever columns are kept, though a row may list its
-    entries in another order: a product sums each entry over ``T′``'s row
-    in its stored order, and nothing else.
-    """
+    """The row-normalized influence matrix and its row sums; with
+    ``columns`` (node ids, ascending), only those columns: :func:`_steps`'
+    columns, divided by the row sums in place, so the peak holds ``T′``,
+    ``M_{k-1}`` and ``M_k`` over them. Each entry has the bits of the
+    summed recurrence, though a row may list its entries in another
+    order."""
     _check_alpha_k(alpha, k)
     n = t.num_nodes
     if n == 0:
         raise DataError("hypergraph has no nodes")
     row_sums = _recurrence(t, np.ones(n), k, alpha)
-    at = np.arange(n) if columns is None else np.asarray(columns)
-    mat = sp.csr_matrix((np.ones(at.size), np.arange(at.size),
-                         np.searchsorted(at, np.arange(n + 1))),
-                        shape=(n, at.size))  # I[:, at]
-    if k > 0:  # a sum, not setdiag, which would insert all of hoi's diagonal
-        mat = alpha * (t.matrix if columns is None else t.matrix[:, at]) \
-            + (1.0 - alpha) * mat
-    if k > 1:
-        tp, empty = _with_empty_diagonal(t.matrix)
-        for _ in range(k - 1):
-            mat = _shift_diagonal(tp @ mat, alpha, empty, at)
+    mat = _steps(t, k, alpha,
+                 np.arange(n) if columns is None else np.asarray(columns))
     mat.eliminate_zeros()
     # a row sum is strictly positive wherever the row has a nonzero entry
     for r0, r1 in _row_blocks(mat.indptr, BLOCK_ENTRIES):
@@ -211,23 +181,81 @@ def influence_columns(t: TransitionMatrix, k: int, alpha: float,
     return InfluenceColumns(mat, row_sums)
 
 
-def _self_influence(t: TransitionMatrix, k: int, alpha: float) -> np.ndarray:
-    """The diagonal of ``M_k`` for ``k <= 2``, bit for bit the entries of
-    :func:`influence_columns` before the division: ``M_1``'s own, and at
-    ``k = 2`` one fold of ``T′``'s entries in stored order against
-    ``M_1``'s transposed ones, each row's terms summed as the product sums
-    them, then shifted as :func:`_shift_diagonal` shifts."""
+def _steps(t: TransitionMatrix, k: int, alpha: float,
+           at: np.ndarray) -> sp.csr_matrix:
+    """``M_k[:, at]`` before the division: ``M <- alpha T M + (1 - alpha)
+    I`` from ``I[:, at]``, first as one sparse sum (over ``T`` itself when
+    ``at`` holds every node), then as products with ``T′`` (``T`` with a
+    stored 1.0 on the diagonal of each empty row, every other row in its
+    order) shifted by :func:`_shift_diagonal`. A product sums each entry
+    over ``T′``'s row in its stored order, so its bits do not depend on
+    ``at``."""
     n = t.num_nodes
-    m1 = alpha * t.matrix + (1.0 - alpha) * sp.identity(n, format="csr")
-    if k < 2:
-        return m1.diagonal() if k else np.ones(n)
-    m1.sort_indices()  # each lookup a binary search
-    tp, empty = _with_empty_diagonal(t.matrix)
-    rows = np.repeat(np.arange(n), np.diff(tp.indptr))
-    terms = tp.data * np.asarray(m1[tp.indices, rows]).ravel()
-    diag = np.bincount(rows, terms, minlength=n) * alpha + (1.0 - alpha)
-    diag[empty] = 1.0 - alpha
-    return diag
+    mat = sp.csr_matrix((np.ones(at.size), np.arange(at.size),
+                         np.searchsorted(at, np.arange(n + 1))),
+                        shape=(n, at.size))  # I[:, at]
+    if k > 0:  # a sum, not setdiag, which would insert all of hoi's diagonal
+        mat = alpha * (t.matrix if at.size == n else t.matrix[:, at]) \
+            + (1.0 - alpha) * mat
+    if k > 1:  # T′, whose row copies the right factor's where T's is empty
+        empty = np.diff(t.matrix.indptr) == 0
+        rows = np.flatnonzero(empty)
+        tp = _insert(t.matrix, rows, rows, 1.0)
+        for _ in range(k - 1):
+            mat = _shift_diagonal(tp @ mat, alpha, empty, at)
+    return mat
+
+
+def _self_influence(t: TransitionMatrix, k: int, alpha: float) -> np.ndarray:
+    """The diagonal of ``M_k``, bit for bit :func:`_steps`'s, with no
+    other entry of ``M_k`` formed: ``T``'s entries ``(j, l)`` times
+    ``M_{k-1}[l, j]``, summed in stored order as the product with ``T′``
+    sums them, then shifted as :func:`_shift_diagonal` shifts. Each block
+    of ``M_{k-1}``'s rows is searched, by key ``l * n + j``, among the
+    pairs ``(l, j)`` of ``T``'s columns ``l`` in that block."""
+    n = t.num_nodes
+    if k == 0:
+        return np.ones(n)
+    m = _steps(t, k - 1, alpha, np.arange(n))
+    tm = t.matrix  # an empty row sums no term: 1 - alpha, as ``T′ M`` gets
+    by_col = sp.csr_matrix((np.arange(tm.nnz), tm.indices, tm.indptr),
+                           shape=tm.shape).tocsc()  # positions, rows sorted
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n,
+                     np.diff(by_col.indptr)) + by_col.indices
+    found = np.zeros(tm.nnz)
+    for r0, r1 in _row_blocks(m.indptr, BLOCK_ENTRIES):
+        (lo, hi), (a, b) = m.indptr[[r0, r1]], by_col.indptr[[r0, r1]]
+        if a == b:
+            continue
+        got = np.repeat(np.arange(r0, r1, dtype=np.int64) * n,
+                        np.diff(m.indptr[r0:r1 + 1])) + m.indices[lo:hi]
+        at = np.searchsorted(keys[a:b], got)
+        hit = keys[a:b].take(at, mode="clip") == got
+        found[by_col.data[a + at[hit]]] = m.data[lo:hi][hit]
+    rows = np.repeat(np.arange(n), np.diff(tm.indptr))
+    return np.bincount(rows, tm.data * found, minlength=n) * alpha \
+        + (1.0 - alpha)
+
+
+def _activated_rows(t: TransitionMatrix, k: int, alpha: float, theta: float,
+                    row_sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Which of ``rows`` (ascending) hold an entry of the row-normalized
+    ``M_k`` above ``theta`` off the diagonal, with the bits of
+    :func:`influence_columns`: the rows of ``alpha T M_{k-1}``, multiplied
+    out in blocks of about ``BLOCK_ENTRIES`` products, so that beside
+    ``M_{k-1}`` only one block of ``M_k`` is held."""
+    hit = np.zeros(rows.size, dtype=bool)
+    if k == 0 or rows.size == 0:
+        return hit
+    m = _steps(t, k - 1, alpha, np.arange(t.num_nodes))
+    tm = t.matrix[rows]  # an empty row of ``T`` has only its diagonal
+    work = np.concatenate(([0], np.cumsum(np.diff(m.indptr)[tm.indices])))
+    for r0, r1 in _row_blocks(work[tm.indptr], BLOCK_ENTRIES):
+        p = tm[r0:r1] @ m
+        at = np.repeat(np.arange(r0, r1), np.diff(p.indptr))
+        over = p.data * alpha / row_sums[rows[at]] > theta
+        hit[at[over & (p.indices != rows[at])]] = True
+    return hit
 
 
 def _row_blocks(indptr: np.ndarray, budget: int):
@@ -256,42 +284,30 @@ def _insert(m: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray,
                           indptr.astype(m.indptr.dtype)), shape=m.shape)
 
 
-def _with_empty_diagonal(m: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
-    """``T′``: ``m`` with a stored 1.0 on the diagonal of each empty row,
-    so that a product's row there copies the right factor's row, and a
-    mask of those rows. Every other row keeps its entries in their order,
-    which fixes the order of each product sum and so its bits."""
-    empty = np.diff(m.indptr) == 0
-    rows = np.flatnonzero(empty)
-    return _insert(m, rows, rows, 1.0), empty
-
-
 def _shift_diagonal(p: sp.csr_matrix, alpha: float, empty: np.ndarray,
                     at: np.ndarray) -> sp.csr_matrix:
     """``alpha p + (1 - alpha) I[:, at]`` for a step ``p = T′ M``, whose
-    rows that are empty in ``T`` (``empty``) copy ``M``'s and get exactly
-    ``1 - alpha`` at their diagonal, the recurrence's value there. Scaled
-    and shifted in ``p``'s own data; an entry ``(at[i], i)`` that ``p``
-    does not store (a sum that underflowed to zero, or each of hoi's at
-    ``alpha = 0``) is inserted, which copies ``p``. Over every column,
-    scipy's own diagonal does that with the fewest temporaries. At ``alpha
-    = 1`` there is no diagonal term, so nothing is written: the rows of
-    ``M_1`` on ``T``'s empty rows are empty, and a write would store zeros
-    there."""
+    rows that are empty in ``T`` (``empty``) get exactly ``1 - alpha`` at
+    their diagonal, the recurrence's value there. Written in ``p``'s own
+    data, each ``(at[i], i)`` found by one comparison per entry; one that
+    ``p`` does not store (an underflow, or each of hoi's at ``alpha = 0``)
+    is inserted, which copies ``p``. At ``alpha = 1`` nothing is written:
+    a write would store zeros on ``T``'s empty rows."""
     if alpha == 1.0:
         return p
-    if at.size == p.shape[0]:
-        p.data *= alpha
-        diag = p.diagonal()
-        diag += 1.0 - alpha
-        diag[empty] = 1.0 - alpha
-        p.setdiag(diag)
-        return p
     i = np.arange(at.size)
-    diag = np.asarray(p[at, i]).ravel()
-    held = diag != 0.0  # a product stores no zero; alpha p might
+    want = np.full(p.shape[0], -1, dtype=p.indices.dtype)
+    want[at] = i  # each row's diagonal column, if any
+    pos = np.full(at.size, -1, dtype=np.int64)
+    for r0, r1 in _row_blocks(p.indptr, BLOCK_ENTRIES):
+        lo, hi = p.indptr[r0], p.indptr[r1]
+        hit = lo + np.flatnonzero(p.indices[lo:hi] == np.repeat(
+            want[r0:r1], np.diff(p.indptr[r0:r1 + 1])))
+        pos[p.indices[hit]] = hit
+    held = pos >= 0  # a product stores no zero
     p.data *= alpha
-    diag = diag * alpha + (1.0 - alpha)
+    diag = np.full(at.size, 1.0 - alpha)
+    diag[held] += p.data[pos[held]]
     diag[empty[at]] = 1.0 - alpha
-    p[at[held], i[held]] = diag[held]
+    p.data[pos[held]] = diag[held]
     return _insert(p, at[~held], i[~held], diag[~held])

@@ -131,11 +131,11 @@ class SelectionContext:
                                        self.config.beta, pool)
 
 
-def _resolve_theta(cfg: SelectionConfig, ic: propagation.InfluenceColumns,
-                   pool: np.ndarray) -> float:
-    """``theta`` as given, or the ``linear`` quantile of the normalized
-    influence entries in the pool's columns (``pool``, ids into
-    ``ic.columns``), bit for bit ``np.quantile``'s.
+def _resolve_theta(cfg: SelectionConfig,
+                   ic: propagation.InfluenceColumns) -> float:
+    """``theta`` as given, or the ``linear`` quantile of every normalized
+    influence entry in ``ic.columns`` (the pool's columns), bit for bit
+    ``np.quantile``'s.
 
     The entries must be positive and finite, so that their float64 bits,
     read as int64, sort like their values. Pass 1 counts the entries by
@@ -147,31 +147,24 @@ def _resolve_theta(cfg: SelectionConfig, ic: propagation.InfluenceColumns,
     if cfg.theta != AUTO:
         return float(cfg.theta)
     cols, step = ic.columns, propagation.BLOCK_ENTRIES
-    in_pool = np.zeros(cols.shape[1], dtype=bool)
-    in_pool[pool] = True
     buf = np.empty(min(step, cols.nnz), dtype=np.int64)
 
     def keys(base, shift):
-        # per block: bits, column ids and 1 + (bits >> shift) - base in buf
+        # per block: bits and 1 + (bits >> shift) - base in buf
         for s in range(0, cols.nnz, step):
             b = cols.data[s:s + step].view(np.int64)
             key = np.right_shift(b, shift, out=buf[:b.size])
             key -= base - 1
-            yield b, cols.indices[s:s + step], key
+            yield b, key
 
-    def bucket(base, shift):
-        # per block, the bits of the pool's entries in bucket ``base``
-        for b, ids, key in keys(base, shift):
-            at = np.flatnonzero(key == 1)
-            yield b[at[in_pool[ids[at]]]]
+    def bucket(base, shift):  # per block, the bits in bucket ``base``
+        return (b[key == 1] for b, key in keys(base, shift))
 
     prefix = 0
     for shift in (48, 32, 16, 0):
-        # bins 0 and 2^16 + 1 take the entries off the pool or the prefix
+        # bins 0 and 2^16 + 1 take the entries off the prefix
         counts = np.zeros(1, dtype=np.int64)
-        for _, ids, key in keys(prefix << 16, shift):
-            if pool.size < in_pool.size:  # int32 ids index with no copy
-                key *= in_pool[ids]
+        for _, key in keys(prefix << 16, shift):
             if shift < 48:  # at 48 every key is in range already
                 np.clip(key, 0, (1 << 16) + 1, out=key)
             bins = np.bincount(key, minlength=counts.size)
@@ -224,44 +217,35 @@ def prepare(g: Hypergraph, features: np.ndarray,
             cfg: SelectionConfig) -> SelectionContext:
     """Build the propagation, influence, and coverage structures for a
     selection run, resolving any 'auto' parameters. θ and the activation
-    sets come from the pool's influence columns, which a strict pool at
-    ``k <= 2`` multiplies out alone. MoI(V) is the size of one union, over
-    σ_all, the nodes that some node activates whatever the pool: n when
-    σ_all holds every node, which such a pool certifies when each node's
-    own entry, the diagonal, exceeds θ; else σ_all is read off every
-    column's activation sets, the other columns' multiplied out too. The
-    states compose the pool's ``U_c``."""
+    sets come from the pool's influence columns, the only ones multiplied
+    out. MoI(V) is the size of one union, over σ_all, the nodes that some
+    node activates whatever the pool; a strict pool adds each node whose
+    own entry, the diagonal, exceeds θ, and checks only the rest's rows of
+    ``M_k``. The states compose the pool's ``U_c``."""
     pool = cfg.validate(g.num_nodes)
     n = g.num_nodes
     t = propagation.build_transition(g, cfg.backend)
     ps = propagation.propagate(t, features, cfg.k, cfg.alpha)
     if cfg.radius != np.inf or not np.isfinite(ps.propagated_features).all():
         objective.squared_norms(ps.propagated_features)  # or DataError
-    cut = pool.size < n and cfg.k <= 2
-    ic = propagation.influence_columns(t, cfg.k, cfg.alpha,
-                                       pool if cut else None)
-    in_ic = np.arange(pool.size) if cut else pool  # the pool's columns
-    theta = _resolve_theta(cfg, ic, in_ic)
+    ic = propagation.influence_columns(t, cfg.k, cfg.alpha, pool)
+    theta = _resolve_theta(cfg, ic)
     radius = _resolve_radius(cfg, ps.propagated_features)
     resolved = replace(cfg, theta=theta, radius=radius)
     acts = objective.build_activation_sets(ic, theta)
+    # the error below can fire only when the pool's sets are empty
+    ties = 0 if acts.nnz else np.count_nonzero(ic.columns.data == theta)
+    row_sums = ic.row_sums
+    del ic  # the later transients need not sit on top of the matrix
     sigma_all = np.bincount(acts.indices, minlength=n) > 0
-    if cut:
+    if pool.size < n:
         with np.errstate(divide="ignore", invalid="ignore"):  # 0/0: no
-            own = propagation._self_influence(t, cfg.k, cfg.alpha) \
-                / ic.row_sums
-        if (own > theta).all():  # each node activates itself
-            sigma_all[:] = True
-        else:  # the other columns' sets
-            rest = np.setdiff1d(np.arange(n), pool)
-            rest = objective.build_activation_sets(
-                propagation.influence_columns(t, cfg.k, cfg.alpha, rest),
-                theta)
-            sigma_all[rest.indices] = True
-    elif pool.size < n:
-        acts = acts[pool]
+            sigma_all |= propagation._self_influence(t, cfg.k, cfg.alpha) \
+                / row_sums > theta
+        rest = np.flatnonzero(~sigma_all)
+        sigma_all[rest] = propagation._activated_rows(
+            t, cfg.k, cfg.alpha, theta, row_sums, rest)
     if not sigma_all.any():  # an auto θ is then the pool's top entry
-        ties = np.count_nonzero(ic.columns[:, in_ic].data == theta)
         raise ConfigError(
             "whole-graph coverage is empty: theta excludes every node; " + (
                 "lower theta" if cfg.theta != AUTO else
@@ -269,7 +253,6 @@ def prepare(g: Hypergraph, features: np.ndarray,
                 f"pool's columns, held by {ties} entries, and a node "
                 "activates only strictly above it: a numeric --theta below "
                 "it activates nodes"))
-    del ic  # the ball build's transient need not sit on top of the matrix
     balls = objective.build_feature_balls(ps, radius)
     moi_hat = n
     if not sigma_all.all():

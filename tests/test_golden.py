@@ -34,9 +34,16 @@ CASES = {
     # a strict pool: the train split holds nodes 0-5 of 12
     "half-split": ["--splits", str(GOLDEN / "toy-half.splits.json"),
                    "--train-split", "--budget", "4"],
+    # the same pool at k=3: the default θ fails the diagonal certificate
+    # and a numeric θ passes it
+    "half-split-k3": ["--splits", str(GOLDEN / "toy-half.splits.json"),
+                      "--train-split", "--budget", "4", "--k", "3"],
+    "half-split-k3-theta": ["--splits", str(GOLDEN / "toy-half.splits.json"),
+                            "--train-split", "--budget", "4", "--k", "3",
+                            "--theta", "0.2"],
 }
 STATS_CASES = ("plain", "radius-0", "radius-inf", "train-split",
-               "half-split")
+               "half-split", "half-split-k3", "half-split-k3-theta")
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
 
 

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -276,17 +277,17 @@ def test_influence_columns_bits_match_summed_recurrence(
 def test_pool_columns_bits_match_full_columns(backend, k, isolated, scale):
     """``influence_columns`` over a pool's columns stores, bit for bit, the
     full matrix's ``[:, pool]`` and its row sums, at each α, for pools of 1,
-    n/5 and n − 1 nodes (with ``isolated``, nodes in no hyperedge or alone
-    in one, whose ``T`` rows are empty, among them)."""
+    n/5, n − 1 and all n nodes (with ``isolated``, nodes in no hyperedge or
+    alone in one, whose ``T`` rows are empty, among them)."""
     rng = np.random.default_rng(10 + k)
     g = random_graph(rng, 40, 25, 5, isolated)
     t = TransitionMatrix(build_transition(g, backend).matrix * scale)
     n = t.num_nodes
     for alpha in (0.0, 0.5, 0.9, 1.0):
         full = influence_columns(t, k, alpha)
-        for size in (1, n // 5, n - 1):
+        for size in (1, n // 5, n - 1, n):
             pool = np.sort(rng.choice(n, size, replace=False))
-            if isolated and size > 1:
+            if isolated and 1 < size < n:
                 pool = np.union1d(pool[1:], [n - 1])  # one in no hyperedge
             ic = influence_columns(t, k, alpha, pool)
             assert ic.columns.shape == (n, pool.size)
@@ -300,17 +301,21 @@ def test_pool_columns_bits_match_full_columns(backend, k, isolated, scale):
 @pytest.mark.parametrize("scale", [1.0, 1e-170], ids=["plain", "underflow"])
 @pytest.mark.parametrize("isolated", [False, True],
                          ids=["connected", "isolated"])
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("backend", ["hoi", "hgnn"])
-def test_self_influence_bits_match_diagonal(backend, k, isolated, scale):
+def test_self_influence_bits_match_diagonal(backend, k, isolated, scale,
+                                            monkeypatch):
     """The diagonal fold over the row sums is the full matrix's diagonal,
-    bit for bit, at each α; where a row sum is 0 (``T``'s empty rows at
-    α = 1, or an underflow) the matrix stores nothing and the quotient is
-    NaN, which exceeds no θ."""
+    bit for bit, at each α, with the default blocks of ``M_{k-1}``'s rows
+    and with blocks of 7 entries; where a row sum is 0 (``T``'s empty rows
+    at α = 1, or an underflow) the matrix stores nothing and the quotient
+    is NaN, which exceeds no θ."""
     rng = np.random.default_rng(20 + k)
     g = random_graph(rng, 40, 25, 5, isolated)
     t = TransitionMatrix(build_transition(g, backend).matrix * scale)
-    for alpha in (0.0, 0.5, 0.9, 1.0):
+    for alpha, block in itertools.product((0.0, 0.5, 0.9, 1.0),
+                                          (propagation.BLOCK_ENTRIES, 7)):
+        monkeypatch.setattr(propagation, "BLOCK_ENTRIES", block)
         ic = influence_columns(t, k, alpha)
         with np.errstate(divide="ignore", invalid="ignore"):
             own = propagation._self_influence(t, k, alpha) / ic.row_sums
@@ -320,6 +325,39 @@ def test_self_influence_bits_match_diagonal(backend, k, isolated, scale):
                                       diag[live].view(np.uint64))
         assert np.isnan(own[~live]).all() and not diag[~live].any()
         assert live.all() or (alpha == 1.0 and isolated) or scale != 1.0
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["block", "tiny-block"])
+@pytest.mark.parametrize("scale", [1.0, 1e-170], ids=["plain", "underflow"])
+@pytest.mark.parametrize("isolated", [False, True],
+                         ids=["connected", "isolated"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("backend", ["hoi", "hgnn"])
+def test_activated_rows_match_full_columns(backend, k, isolated, scale,
+                                           block, monkeypatch):
+    """Row ``j`` is activated off the diagonal exactly when the full
+    matrix stores an entry above θ in row ``j`` outside column ``j``, at
+    each α, for every row and for a strict subset, with θ zero or one of
+    the matrix's own entries (an entry equal to θ does not count).
+    Blocks of 7 products cut the rows apart one or two at a time."""
+    if block is not None:
+        monkeypatch.setattr(propagation, "BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(30 + k)
+    g = random_graph(rng, 40, 25, 5, isolated)
+    t = TransitionMatrix(build_transition(g, backend).matrix * scale)
+    n = t.num_nodes
+    for alpha in (0.0, 0.5, 0.9, 1.0):
+        ic = influence_columns(t, k, alpha)
+        full = ic.columns.tocoo()
+        off = full.row != full.col
+        for theta in np.quantile(np.r_[0.0, full.data], [0.0, 0.5, 0.9],
+                                 method="lower"):
+            want = np.zeros(n, dtype=bool)
+            want[full.row[off & (full.data > theta)]] = True
+            for rows in (np.arange(n), np.arange(1, n, 3)):
+                got = propagation._activated_rows(t, k, alpha, theta,
+                                                  ic.row_sums, rows)
+                np.testing.assert_array_equal(got, want[rows])
 
 
 @pytest.mark.parametrize("isolated", [False, True],

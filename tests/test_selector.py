@@ -181,25 +181,66 @@ def test_pool_path_matches_full_matrix(backend, k, alpha, theta):
 @pytest.mark.parametrize("theta, certified", [(0.05, True), (0.4, False)])
 def test_strict_pool_certificate_or_full_matrix(backend, theta, certified,
                                                 monkeypatch):
-    """A strict pool at k <= 2 multiplies out its own columns only. When
-    every node's own normalized influence exceeds θ, that certifies σ_all =
-    V and MoI(V) = n; else the other columns are multiplied out too, for
-    σ_all. MoI(V) equals the brute-force count on both paths."""
-    calls = []
+    """A strict pool multiplies out its own columns only. When every
+    node's own normalized influence exceeds θ, that certifies σ_all = V
+    and MoI(V) = n; else the rows of the nodes that neither the pool's
+    sets nor their own entry place in σ_all are multiplied out, and only
+    those. MoI(V) equals the brute-force count on both paths."""
+    calls, rows = [], []
     real = propagation.influence_columns
+    real_rows = propagation._activated_rows
 
     def counted(t, k, alpha, columns=None):
         calls.append(None if columns is None else columns.size)
         return real(t, k, alpha, columns)
 
+    def counted_rows(t, k, alpha, theta, row_sums, at):
+        rows.append(at.size)
+        return real_rows(t, k, alpha, theta, row_sums, at)
+
     monkeypatch.setattr(propagation, "influence_columns", counted)
+    monkeypatch.setattr(propagation, "_activated_rows", counted_rows)
     g, x, edges, n, ctx = make_context(3, backend=backend, theta=theta,
                                        candidate_pool=(0, 2, 5))
-    assert calls == ([3] if certified else [3, n - 3])
+    assert calls == [3]
+    assert len(rows) == 1 and (rows[0] == 0) == certified and rows[0] < n
     m_k, oballs = oracle_inputs(g, x, ctx)
     assert ctx.moi_hat == oracles.moi_value(m_k, theta, set(range(n)),
                                             oballs)
     assert ctx.moi_hat == n or not certified
+
+
+@pytest.mark.parametrize("theta, certified", [(0.05, True), (0.2, False)])
+def test_strict_pool_k3_peak_below_half_the_matrix(theta, certified,
+                                                   monkeypatch):
+    """At k = 3 a 20% pool holds its own columns and, for σ_all, ``M_2``
+    and blocks of ``M_3``'s rows, never the whole ``M_3``: the traced peak
+    of ``prepare`` stays under half of ``M_3``'s data and indices, whether
+    the diagonal certifies σ_all = V or the other rows are multiplied out
+    (criterion-8 generator, n = 2000, m = 1000)."""
+    rng = np.random.default_rng(0)
+    n, m = 2000, 1000
+    sizes = rng.poisson(4, m) + 1
+    flat = rng.integers(0, n, size=int(sizes.sum()))
+    g = build([e.tolist() for e in np.split(flat, np.cumsum(sizes)[:-1])],
+              num_nodes=n)
+    x = rng.normal(size=(n, 8))
+    pool = np.sort(rng.choice(n, n // 5, replace=False))
+    full = influence_columns(build_transition(g, "hoi"), 3, 0.9).columns
+    rows = []
+    real = propagation._activated_rows
+    monkeypatch.setattr(propagation, "_activated_rows",
+                        lambda *a: rows.append(a[-1].size) or real(*a))
+    cfg = SelectionConfig(budget=5, k=3, theta=theta, radius=0.3,
+                          candidate_pool=tuple(pool.tolist()))
+    tracemalloc.start()
+    try:
+        prepare(g, x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rows == [0]) == certified
+    assert peak < (full.data.nbytes + full.indices.nbytes) / 2
 
 
 def _entries(rng, kind, size):
@@ -232,8 +273,8 @@ def _influence(data, ids, n_cols):
 @pytest.mark.parametrize("pool", ["all", "restricted"])
 @pytest.mark.parametrize("block", [1, 7, None], ids=["one", "seven", "default"])
 def test_auto_theta_bits_match_numpy_quantile(block, pool, monkeypatch):
-    """Auto θ from bucket counts is ``np.quantile`` over the pool's
-    entries, bit for bit: N from 1 up, q near 0 and 1, ties, one repeated
+    """Auto θ from bucket counts is ``np.quantile`` over the entries of
+    the pool's own columns, bit for bit: N from 1 up, q near 0 and 1, ties, one repeated
     value, subnormals, entries spread over 40 decades and entries that
     share their top bits, with blocks of one entry, seven entries (cut
     mid-bucket) and the default. Blocks of one or seven also refine the
@@ -256,11 +297,12 @@ def test_auto_theta_bits_match_numpy_quantile(block, pool, monkeypatch):
         else:
             keep = np.sort(rng.choice(n_cols, 4, replace=False))
         want = data[np.isin(ids, keep)]
+        ic = InfluenceColumns(ic.columns[:, keep], ic.row_sums)
         if want.size == 0:
             with pytest.raises(ConfigError, match="no nonzero influence"):
-                _resolve_theta(cfg, ic, keep)
+                _resolve_theta(cfg, ic)
             continue
-        got = _resolve_theta(cfg, ic, keep)
+        got = _resolve_theta(cfg, ic)
         assert got.hex() == float(np.quantile(want, q)).hex(), (kind, size, q)
 
 
@@ -282,16 +324,17 @@ def _big_influence():
 
 
 def _theta_and_peak(ic, pool):
+    """θ=auto over the pool's own columns of ``ic``, the quantile it
+    should be, and the traced peak of resolving it."""
     cfg = SelectionConfig(budget=1)
+    ic = InfluenceColumns(ic.columns[:, pool], ic.row_sums)
     tracemalloc.start()
     try:
-        theta = _resolve_theta(cfg, ic, pool)
+        theta = _resolve_theta(cfg, ic)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    c = ic.columns
-    want = np.quantile(c.data[np.isin(c.indices, pool)], cfg.theta_quantile)
-    return theta, want, peak
+    return theta, np.quantile(ic.columns.data, cfg.theta_quantile), peak
 
 
 def test_auto_theta_full_pool_memory_bounded():
@@ -305,8 +348,8 @@ def test_auto_theta_full_pool_memory_bounded():
 
 
 def test_auto_theta_restricted_pool_memory_bounded():
-    """Over half of the columns, θ=auto masks the pool's entries one block
-    at a time: no mask or copy as long as the entries."""
+    """Over a pool of half of the columns, θ=auto holds the same fixed
+    working set: no copy as long as the pool's entries."""
     n, ic, tied = _big_influence()
     for m in (ic, tied):
         theta, want, peak = _theta_and_peak(m, np.arange(0, n, 2))
